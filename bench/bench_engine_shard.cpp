@@ -1,15 +1,14 @@
 // Sharded-engine scaling curve: events/s of one giant scenario at 1, 2, 4,
-// and 8 shards, on the fig08 two-tier incast and the fig12 fat-tree —
-// under both sync protocols (TRIM_SHARD_SYNC=global|matrix) side by side.
+// and 8 shards, on the fig08 two-tier incast and the fig12 fat-tree.
 //
 // Each cell runs the identical workload (same config, same seed) with only
-// the shard count / sync mode changed, takes the best of three trials
-// (events/s from the engine's own dispatch and wall counters), and reports
-// the speedup over the 1-shard serial engine, the stall fraction (summed
-// barrier-stall wall time over shards x elapsed), and the barrier-window
-// rate per simulated second. A determinism self-check re-runs the widest
-// sharded cell in both modes and fails the binary (non-zero exit) if any
-// result metric differs between repetitions.
+// the shard count changed, takes the best of three trials (events/s from
+// the engine's own dispatch and wall counters), and reports the speedup
+// over the 1-shard serial engine, the stall fraction (summed barrier-stall
+// wall time over shards x elapsed), and the barrier-window rate per
+// simulated second. A determinism self-check re-runs the widest sharded
+// cell of each topology and fails the binary (non-zero exit) if any result
+// metric differs between repetitions.
 //
 // Numbers are only meaningful relative to `hw_threads` (reported in the
 // JSON): on a single-core host every width runs at serial speed minus
@@ -33,7 +32,6 @@ using namespace trim;
 
 struct Cell {
   int shards = 1;
-  sim::SyncMode mode = sim::SyncMode::kMatrix;
   double events_per_sec = 0.0;   // best of trials
   std::uint64_t events = 0;
   double run_wall_s = 0.0;       // of the best trial
@@ -56,7 +54,7 @@ struct Cell {
   }
 };
 
-exp::LargeScaleConfig fig08_config(int shards, sim::SyncMode mode, bool quick) {
+exp::LargeScaleConfig fig08_config(int shards, bool quick) {
   exp::LargeScaleConfig cfg;
   cfg.protocol = tcp::Protocol::kReno;
   cfg.num_switches = quick ? 10 : 25;
@@ -65,29 +63,25 @@ exp::LargeScaleConfig fig08_config(int shards, sim::SyncMode mode, bool quick) {
   cfg.drain = sim::SimTime::seconds(quick ? 0.3 : 0.7);
   cfg.seed = 1;
   cfg.shards = shards;
-  cfg.sync_mode = mode;
   return cfg;
 }
 
-exp::FattreeConfig fig12_config(int shards, sim::SyncMode mode, bool quick) {
+exp::FattreeConfig fig12_config(int shards, bool quick) {
   exp::FattreeConfig cfg;
   cfg.protocol = tcp::Protocol::kReno;
   cfg.pods = quick ? 4 : 8;
   cfg.run_until = sim::SimTime::seconds(quick ? 1.5 : 3.0);
   cfg.seed = 1;
   cfg.shards = shards;
-  cfg.sync_mode = mode;
   return cfg;
 }
 
 template <typename Result, typename Run>
-Cell measure(int shards, sim::SyncMode mode, int trials, Run run,
-             double Result::* act) {
+Cell measure(int shards, int trials, Run run, double Result::* act) {
   Cell cell;
   cell.shards = shards;
-  cell.mode = mode;
   for (int t = 0; t < trials; ++t) {
-    const Result r = run(shards, mode);
+    const Result r = run(shards);
     const double eps =
         r.run_wall_s > 0.0 ? static_cast<double>(r.events_dispatched) / r.run_wall_s : 0.0;
     if (eps > cell.events_per_sec) {
@@ -106,16 +100,16 @@ Cell measure(int shards, sim::SyncMode mode, int trials, Run run,
 }
 
 template <typename Result, typename Run>
-bool determinism_check(const char* name, int shards, sim::SyncMode mode,
-                       Run run, double Result::* act) {
-  const Result a = run(shards, mode);
-  const Result b = run(shards, mode);
+bool determinism_check(const char* name, int shards, Run run,
+                       double Result::* act) {
+  const Result a = run(shards);
+  const Result b = run(shards);
   if (a.events_dispatched != b.events_dispatched || a.*act != b.*act ||
       a.drops != b.drops) {
     std::fprintf(stderr,
-                 "DETERMINISM FAILURE [%s/%s @ %d shards]: events %llu vs "
+                 "DETERMINISM FAILURE [%s @ %d shards]: events %llu vs "
                  "%llu, metric %.9g vs %.9g, drops %llu vs %llu\n",
-                 name, sim::to_string(mode), shards,
+                 name, shards,
                  static_cast<unsigned long long>(a.events_dispatched),
                  static_cast<unsigned long long>(b.events_dispatched), a.*act,
                  b.*act, static_cast<unsigned long long>(a.drops),
@@ -128,14 +122,14 @@ bool determinism_check(const char* name, int shards, sim::SyncMode mode,
 void print_curve(const char* title, const std::vector<Cell>& cells,
                  double sim_seconds) {
   std::printf("%s\n", title);
-  std::printf("  %-7s %-7s %13s %10s %9s %8s %8s %10s %8s %11s\n", "shards",
-              "sync", "events/s", "wall (s)", "speedup", "windows",
-              "skipped", "win/sim_s", "imbal", "stall_frac");
+  std::printf("  %-7s %13s %10s %9s %8s %8s %10s %8s %11s\n", "shards",
+              "events/s", "wall (s)", "speedup", "windows", "skipped",
+              "win/sim_s", "imbal", "stall_frac");
   const double serial = cells.front().events_per_sec;
   for (const auto& c : cells) {
     std::printf(
-        "  %-7d %-7s %13.0f %10.3f %8.2fx %8llu %8llu %10.0f %8.2f %11.4f\n",
-        c.shards, sim::to_string(c.mode), c.events_per_sec, c.run_wall_s,
+        "  %-7d %13.0f %10.3f %8.2fx %8llu %8llu %10.0f %8.2f %11.4f\n",
+        c.shards, c.events_per_sec, c.run_wall_s,
         serial > 0.0 ? c.events_per_sec / serial : 0.0,
         static_cast<unsigned long long>(c.windows),
         static_cast<unsigned long long>(c.windows_skipped),
@@ -151,7 +145,6 @@ void report_curve(obs::RunReport& report, const std::string& prefix,
   for (const auto& c : cells) {
     std::vector<std::pair<std::string, double>> row{
         {"shards", static_cast<double>(c.shards)},
-        {"sync_mode", c.mode == sim::SyncMode::kMatrix ? 1.0 : 0.0},
         {"events_per_sec", c.events_per_sec},
         {"windows", static_cast<double>(c.windows)},
         {"windows_skipped", static_cast<double>(c.windows_skipped)},
@@ -163,21 +156,19 @@ void report_curve(obs::RunReport& report, const std::string& prefix,
       row.emplace_back("events_" + std::to_string(i),
                        static_cast<double>(c.shard_events[i]));
     }
-    report.add_row(prefix + "_" + sim::to_string(c.mode) + "_shards_" +
-                       std::to_string(c.shards),
+    report.add_row(prefix + "_matrix_shards_" + std::to_string(c.shards),
                    std::move(row));
   }
 }
 
 void json_curve(bench::BenchJson& json, const std::string& prefix,
                 const std::vector<Cell>& cells, double sim_seconds,
-                double serial_eps, const char* act_name, unsigned hw) {
+                const char* act_name, unsigned hw) {
+  const double serial_eps = cells.front().events_per_sec;
   for (const auto& c : cells) {
-    json.add(prefix + "_" + sim::to_string(c.mode) + "_shards_" +
-                 std::to_string(c.shards),
+    json.add(prefix + "_matrix_shards_" + std::to_string(c.shards),
              c.events_per_sec,
              {{"shards", static_cast<double>(c.shards)},
-              {"sync_mode", c.mode == sim::SyncMode::kMatrix ? 1.0 : 0.0},
               {"events", static_cast<double>(c.events)},
               {"run_wall_s", c.run_wall_s},
               {"speedup_vs_serial",
@@ -205,77 +196,49 @@ int main() {
   std::printf("hardware threads: %u%s\n\n", hw,
               hw <= 1 ? "  (single core: expect a flat curve)" : "");
 
-  const std::vector<int> widths{2, 4, 8};
-  const std::vector<sim::SyncMode> modes{sim::SyncMode::kGlobal,
-                                         sim::SyncMode::kMatrix};
+  const std::vector<int> widths{1, 2, 4, 8};
   bench::BenchJson json{"engine_shard"};
   obs::RunReport report{"engine_shard"};
 
   // --- fig08-scale two-tier incast ---
-  auto run08 = [quick](int shards, sim::SyncMode mode) {
-    return exp::run_large_scale(fig08_config(shards, mode, quick));
+  auto run08 = [quick](int shards) {
+    return exp::run_large_scale(fig08_config(shards, quick));
   };
   const double sim_s08 = quick ? 0.5 : 1.2;  // spt_window + drain
-  // Width 1 takes the serial path in either mode; measure it once and put
-  // the same baseline row in both curves.
-  const Cell serial08 =
-      measure<exp::LargeScaleResult>(1, sim::SyncMode::kMatrix, trials, run08,
-                                     &exp::LargeScaleResult::spt_act_ms);
-  for (const auto mode : modes) {
-    std::vector<Cell> curve{serial08};
-    curve.front().mode = mode;
-    for (const int w : widths) {
-      curve.push_back(measure<exp::LargeScaleResult>(
-          w, mode, trials, run08, &exp::LargeScaleResult::spt_act_ms));
-    }
-    std::string title =
-        std::string{"fig08-scale two-tier (1050 servers full / 420 quick), "} +
-        sim::to_string(mode) + " sync:";
-    print_curve(title.c_str(), curve, sim_s08);
-    std::printf("\n");
-    json_curve(json, "fig08_scale", curve, sim_s08, serial08.events_per_sec,
-               "spt_act_ms", hw);
-    report_curve(report, "fig08_scale", curve);
+  std::vector<Cell> curve08;
+  for (const int w : widths) {
+    curve08.push_back(measure<exp::LargeScaleResult>(
+        w, trials, run08, &exp::LargeScaleResult::spt_act_ms));
   }
+  print_curve("fig08-scale two-tier (1050 servers full / 420 quick):", curve08,
+              sim_s08);
+  std::printf("\n");
+  json_curve(json, "fig08_scale", curve08, sim_s08, "spt_act_ms", hw);
+  report_curve(report, "fig08_scale", curve08);
 
   // --- fig12-scale fat-tree ---
-  auto run12 = [quick](int shards, sim::SyncMode mode) {
-    return exp::run_fattree(fig12_config(shards, mode, quick));
+  auto run12 = [quick](int shards) {
+    return exp::run_fattree(fig12_config(shards, quick));
   };
   const double sim_s12 = quick ? 1.5 : 3.0;  // run_until
-  const Cell serial12 =
-      measure<exp::FattreeResult>(1, sim::SyncMode::kMatrix, trials, run12,
-                                  &exp::FattreeResult::mean_completion_ms);
-  for (const auto mode : modes) {
-    std::vector<Cell> curve{serial12};
-    curve.front().mode = mode;
-    for (const int w : widths) {
-      curve.push_back(measure<exp::FattreeResult>(
-          w, mode, trials, run12, &exp::FattreeResult::mean_completion_ms));
-    }
-    std::string title = std::string{"fig12-scale fat-tree (k=8 full / k=4 "
-                                    "quick), "} +
-                        sim::to_string(mode) + " sync:";
-    print_curve(title.c_str(), curve, sim_s12);
-    std::printf("\n");
-    json_curve(json, "fattree_scale", curve, sim_s12, serial12.events_per_sec,
-               "mean_completion_ms", hw);
-    report_curve(report, "fattree_scale", curve);
+  std::vector<Cell> curve12;
+  for (const int w : widths) {
+    curve12.push_back(measure<exp::FattreeResult>(
+        w, trials, run12, &exp::FattreeResult::mean_completion_ms));
   }
+  print_curve("fig12-scale fat-tree (k=8 full / k=4 quick):", curve12, sim_s12);
+  std::printf("\n");
+  json_curve(json, "fattree_scale", curve12, sim_s12, "mean_completion_ms", hw);
+  report_curve(report, "fattree_scale", curve12);
   bench::finish_report(report);
 
-  // --- determinism self-check at the widest sharded width, both modes ---
-  std::printf("determinism self-check (8 shards, two repetitions, both "
-              "sync modes)... ");
-  bool ok = true;
-  for (const auto mode : modes) {
-    ok = ok &&
-         determinism_check<exp::LargeScaleResult>(
-             "fig08", 8, mode, run08, &exp::LargeScaleResult::spt_act_ms) &&
-         determinism_check<exp::FattreeResult>(
-             "fattree", 8, mode, run12,
-             &exp::FattreeResult::mean_completion_ms);
-  }
+  // --- determinism self-check at the widest sharded width ---
+  std::printf("determinism self-check (8 shards, two repetitions)... ");
+  const bool ok =
+      determinism_check<exp::LargeScaleResult>(
+          "fig08", 8, run08, &exp::LargeScaleResult::spt_act_ms) &&
+      determinism_check<exp::FattreeResult>(
+          "fattree", 8, run12, &exp::FattreeResult::mean_completion_ms);
   std::printf("%s\n", ok ? "ok" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -9,10 +9,6 @@ from the CI cache (written by the last successful run on main):
   - RSS: the file-level `peak_rss_bytes` must not grow more than
     --rss-threshold above the baseline (0 disables the gate).
 
-A third gate (--mode-gate) compares scenarios *within* the current file:
-for each shard width >= 4 measured under both sync protocols, the matrix
-curve must keep up with the global one. It needs no baseline.
-
 Scenarios are filtered by prefix so one bench file can carry several
 curves while only the gated ones fail the build.
 
@@ -66,45 +62,6 @@ def gate_throughput(current, baseline, prefix, threshold):
             failed = True
         print(f"{scenario}: {cur:.3g} vs baseline {base:.3g} ev/s "
               f"({ratio:.2f}x)  {status}")
-    return failed
-
-
-def gate_sync_modes(current, prefix, tolerance):
-    """Within the *current* file, require the matrix sync protocol to keep
-    up with the global one at every shard width where both were measured:
-    matrix events/s >= global events/s * (1 - tolerance). This gate needs
-    no baseline — both curves come from the same bench invocation on the
-    same runner, so it is immune to cross-run machine noise."""
-    widths = []
-    for scenario in current:
-        marker = "_global_shards_"
-        if scenario.startswith(prefix) and marker in scenario:
-            suffix = scenario.split(marker)[-1]
-            if suffix.isdigit():
-                widths.append(int(suffix))
-    checked = False
-    failed = False
-    for width in sorted(widths):
-        if width < 4:
-            continue  # tiny widths are barrier-bound either way
-        g = current.get(f"{prefix}_global_shards_{width}")
-        m = current.get(f"{prefix}_matrix_shards_{width}")
-        if g is None or m is None:
-            continue
-        checked = True
-        g_rate = g["items_per_sec"]
-        m_rate = m["items_per_sec"]
-        ratio = m_rate / g_rate if g_rate > 0 else float("inf")
-        status = "ok"
-        if ratio < 1.0 - tolerance:
-            status = (f"FAIL (matrix {(1.0 - ratio) * 100.0:.1f}% below "
-                      f"global > {tolerance * 100.0:.0f}%)")
-            failed = True
-        print(f"{prefix} @ {width} shards: matrix {m_rate:.3g} vs global "
-              f"{g_rate:.3g} ev/s ({ratio:.2f}x)  {status}")
-    if not checked:
-        print(f"no paired matrix/global scenarios with prefix {prefix!r}; "
-              "sync-mode gate skipped")
     return failed
 
 
@@ -171,15 +128,6 @@ def main():
     parser.add_argument("--rss-threshold", type=float, default=0.0,
                         help="allowed fractional growth in peak_rss_bytes "
                              "(0 = RSS not gated, which is the default)")
-    parser.add_argument("--mode-gate", action="append", default=[],
-                        metavar="PREFIX",
-                        help="require <PREFIX>_matrix_shards_<w> events/s to "
-                             "stay within --mode-tolerance of "
-                             "<PREFIX>_global_shards_<w> at widths >= 4 "
-                             "(repeatable; compares within --current only)")
-    parser.add_argument("--mode-tolerance", type=float, default=0.10,
-                        help="allowed fractional shortfall of matrix vs "
-                             "global events/s (default 0.10)")
     parser.add_argument("--history-dir", default="",
                         help="rolling-window directory; when set, the current "
                              "results are appended and the stored trajectory printed")
@@ -207,9 +155,6 @@ def main():
             failed |= gate_throughput(current, baseline,
                                       args.scenario_prefix, args.threshold)
             failed |= gate_rss(current_doc, baseline_doc, args.rss_threshold)
-
-    for prefix in args.mode_gate:
-        failed |= gate_sync_modes(current, prefix, args.mode_tolerance)
 
     if args.history_dir:
         update_history(args.history_dir, args.current,

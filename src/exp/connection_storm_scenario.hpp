@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -59,12 +58,10 @@ struct ConnectionStormConfig {
   sim::SimTime max_rto = sim::SimTime::seconds(60);
   std::uint64_t seed = 1;
 
-  // Engine overrides, mainly for the diagnosis equivalence tests: shards
-  // >= 1 wins over TRIM_SHARDS, a set scheduler wins over TRIM_SCHEDULER
-  // (which is cached per process and therefore useless for side-by-side
-  // comparisons). Defaults keep the environment knobs in charge.
+  // Engine shards: >= 1 wins over TRIM_SHARDS (which is cached per process
+  // and therefore useless for side-by-side comparisons); 0 defers to it.
   int shards = 0;
-  std::optional<sim::SchedulerKind> scheduler;
+  sim::SchedulerKind scheduler{};  // ignored; see sim/sched_types.hpp
 
   // Optional fault profile on the fabric -> front-end bottleneck link
   // (handshakes cross it in the SYN direction, ACKs in the other).

@@ -18,7 +18,7 @@ FattreeResult run_fattree(const FattreeConfig& cfg) {
   require(cfg.run_until > cfg.big_start && cfg.big_start > cfg.small_start,
           "bad schedule", "FattreeConfig::small_start/big_start/run_until",
           "small_start < big_start < run_until");
-  World world{cfg.shards, std::nullopt, cfg.sync_mode};
+  World world{cfg.shards};
   InvariantScope inv{world, cfg.run_until};
   sim::Rng rng{cfg.seed};
 

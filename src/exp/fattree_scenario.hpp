@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -35,9 +34,7 @@ struct FattreeConfig {
   // Engine shards for this one run: 0 (the default) defers to TRIM_SHARDS.
   // >1 spreads pods across that many cores (the scaling bench sets this).
   int shards = 0;
-  // Shard sync protocol: unset defers to TRIM_SHARD_SYNC (the scaling
-  // bench pins both modes explicitly for side-by-side curves).
-  std::optional<sim::SyncMode> sync_mode;
+  sim::SyncMode sync_mode{};  // ignored; see sim/sched_types.hpp
 };
 
 struct FattreeResult {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -33,9 +32,7 @@ struct LargeScaleConfig {
   // >1 partitions the two-tier topology across that many cores (the bench
   // sets this explicitly; TRIM_SHARDS=1 keeps the serial engine).
   int shards = 0;
-  // Shard sync protocol: unset defers to TRIM_SHARD_SYNC (the scaling
-  // bench pins both modes explicitly for side-by-side curves).
-  std::optional<sim::SyncMode> sync_mode;
+  sim::SyncMode sync_mode{};  // ignored; see sim/sched_types.hpp
 };
 
 struct LargeScaleResult {

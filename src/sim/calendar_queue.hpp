@@ -1,8 +1,8 @@
 // Hierarchical calendar-queue (timing-wheel) scheduler with amortized O(1)
-// schedule / pop / cancel, used by EventQueue when TRIM_SCHEDULER=wheel
-// (the default). Dispatch order is byte-identical to the 4-ary heap
-// backend: events fire in (time, insertion-sequence) order, so every
-// figure reproduction produces the same output under either backend.
+// schedule / pop / cancel: the event queue every Simulator owns. Events
+// fire in (time, insertion-sequence) order — exactly the order of a plain
+// 4-ary heap, which the engine's tests keep as the reference this queue
+// is checked against (tests/sim/heap_event_queue.hpp).
 //
 // Layout: 8 levels x 256 buckets. An event whose time differs from the
 // wheel's current position `cur_` first in byte `L` (counting from the
@@ -31,8 +31,7 @@
 //   - cancel: swap-remove the event's bucket entry (O(1), touching only
 //     the displaced tail entry) or leave a generation-stale tombstone in
 //     the ready run that pop skips. EventId generations make
-//     cancel-after-fire and slot-reuse no-ops exactly as in the heap
-//     backend.
+//     cancel-after-fire and slot-reuse no-ops exactly as in the heap.
 //
 // The tie-break invariant the figure benches depend on: all events in one
 // level-0 bucket share the same timestamp (within the current 256-tick

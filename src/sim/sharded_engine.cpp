@@ -1,6 +1,7 @@
 #include "sim/sharded_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -94,21 +95,14 @@ class AdaptiveBarrier {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(int shards)
-    : ShardedEngine{shards, scheduler_kind_from_env(), sync_mode_from_env()} {}
-
-ShardedEngine::ShardedEngine(int shards, SchedulerKind kind)
-    : ShardedEngine{shards, kind, sync_mode_from_env()} {}
-
-ShardedEngine::ShardedEngine(int shards, SchedulerKind kind, SyncMode sync)
-    : sync_mode_{sync} {
+ShardedEngine::ShardedEngine(int shards) {
   if (shards < 1) {
     throw ConfigError{"shard count must be >= 1", "ShardedEngine", "[1, 256]"};
   }
   if (shards > 256) shards = 256;
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Simulator>(kind));
+    shards_.push_back(std::make_unique<Simulator>());
   }
   const auto n = static_cast<std::size_t>(shards);
   mail_.resize(n * n);
@@ -117,6 +111,7 @@ ShardedEngine::ShardedEngine(int shards, SchedulerKind kind, SyncMode sync)
   closed_lookahead_.assign(n * n, SimTime::max());
   window_end_.resize(n);
   eit_.resize(n);
+  failures_.resize(n);
 }
 
 void ShardedEngine::note_cut_link(int src, int dst, SimTime prop_delay) {
@@ -131,24 +126,6 @@ void ShardedEngine::note_cut_link(int src, int dst, SimTime prop_delay) {
   }
   SimTime& cell = pair_lookahead_[mailbox_index(src, dst)];
   cell = std::min(cell, prop_delay);
-  lookahead_ = std::min(lookahead_, prop_delay);
-  ++cut_links_;
-  closure_valid_ = false;
-}
-
-void ShardedEngine::note_cut_link(SimTime prop_delay) {
-  if (prop_delay <= SimTime::zero()) {
-    throw ConfigError{"cut link with zero propagation delay", "ShardedEngine",
-                      "partitions may only split links with prop_delay > 0"};
-  }
-  const int n = shard_count();
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
-      if (src == dst) continue;
-      SimTime& cell = pair_lookahead_[mailbox_index(src, dst)];
-      cell = std::min(cell, prop_delay);
-    }
-  }
   lookahead_ = std::min(lookahead_, prop_delay);
   ++cut_links_;
   closure_valid_ = false;
@@ -190,12 +167,6 @@ void ShardedEngine::post(int src, int dst, SimTime due, InlineCallback cb) {
   if (due < min_due) min_due = due;
 }
 
-SimTime ShardedEngine::earliest_event() const {
-  SimTime m = SimTime::max();
-  for (const auto& s : shards_) m = std::min(m, s->next_event_time());
-  return m;
-}
-
 SimTime ShardedEngine::shard_eit(int s) const {
   SimTime t = shards_[static_cast<std::size_t>(s)]->next_event_time();
   const int n = shard_count();
@@ -204,34 +175,6 @@ SimTime ShardedEngine::shard_eit(int s) const {
     t = std::min({t, box.min_due[0], box.min_due[1]});
   }
   return t;
-}
-
-void ShardedEngine::flush_mailboxes() {
-  const int n = shard_count();
-  for (int dst = 0; dst < n; ++dst) {
-    for (int src = 0; src < n; ++src) {
-      Mailbox& box = mail_[mailbox_index(src, dst)];
-      std::uint64_t count = 0;
-      // Global mode only ever fills buf[0] (write_buf_ never flips), but
-      // drain both in order so a restarted engine holds no stale mail.
-      for (auto& buf : box.buf) {
-        for (auto& entry : buf) {
-          shards_[static_cast<std::size_t>(dst)]->schedule_at(
-              entry.due, std::move(entry.cb));
-        }
-        count += static_cast<std::uint64_t>(buf.size());
-        buf.clear();  // keeps capacity; steady state allocates nothing
-      }
-      box.min_due[0] = box.min_due[1] = SimTime::max();
-      if (count == 0) continue;
-      box.flushed += count;
-      posts_flushed_ += count;
-      ++flush_batches_;
-      if (flush_observer_) {
-        flush_observer_(src, dst, count, last_window_end_);
-      }
-    }
-  }
 }
 
 void ShardedEngine::drain_inbox(int dst) {
@@ -269,33 +212,8 @@ void ShardedEngine::report_drains() {
   }
 }
 
-void ShardedEngine::plan_global(SimTime until) {
-  flush_mailboxes();
-  const SimTime m = earliest_event();
-  if (m == SimTime::max() || m > until) {
-    done_ = true;
-    return;
-  }
-  // end <= m + lookahead: every cross-shard arrival produced inside the
-  // window is due at >= m + lookahead >= end, i.e. never behind any
-  // shard's clock. Progress: the shard owning m always dispatches.
-  const SimTime end = until - m <= lookahead_ ? until : m + lookahead_;
-  for (auto& w : window_end_) w = end;
-  ++windows_run_;
-  const SimTime advance = end - m;
-  if (advance > max_window_advance_) max_window_advance_ = advance;
-  last_window_end_ = end;
-  if (window_observer_) window_observer_(end, advance);
-}
-
 void ShardedEngine::plan_matrix(SimTime until) {
   const int n = shard_count();
-  // Account the eager drains the destination workers performed during the
-  // window that just ended — single-threaded here, so the observer stream
-  // stays deterministic — then flip the buffers: everything posted in the
-  // closed window becomes readable, the drained buffer becomes writable.
-  report_drains();
-  write_buf_ ^= 1;
   SimTime m = SimTime::max();
   for (int s = 0; s < n; ++s) {
     eit_[static_cast<std::size_t>(s)] = shard_eit(s);
@@ -353,67 +271,60 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
 std::uint64_t ShardedEngine::run_windows(SimTime until) {
   const int n = shard_count();
   const std::uint64_t dispatched_before = events_dispatched();
-  const bool matrix = sync_mode_ == SyncMode::kMatrix;
-  if (matrix) ensure_closure();
+  ensure_closure();
 
-  // Window plan, recomputed at each barrier by exactly one thread. The
-  // first plan runs before any worker starts.
-  auto plan = [this, until, matrix]() noexcept {
-    if (matrix) {
-      plan_matrix(until);
-    } else {
-      plan_global(until);
-    }
-  };
-
+  // The first plan runs before any worker starts; later ones run in the
+  // barrier completion step, by exactly one thread.
   done_ = false;
-  failed_shard_.store(-1, std::memory_order_relaxed);
-  plan();
+  std::fill(failures_.begin(), failures_.end(), nullptr);
+  plan_matrix(until);
 
   if (!done_) {
     const unsigned hw = std::thread::hardware_concurrency();
-    AdaptiveBarrier sync{n,
-                         [&plan, this]() noexcept {
-                           if (failed_shard_.load(std::memory_order_relaxed) >=
-                               0) {
-                             done_ = true;
-                             return;
-                           }
-                           plan();
-                         },
-                         hw != 0 && hw < static_cast<unsigned>(n)};
+    AdaptiveBarrier sync{
+        n,
+        [this, until]() noexcept {
+          // Close the window that just ended: account the eager drains
+          // the destination workers performed in it — single-threaded
+          // here, so the observer stream stays deterministic — and flip
+          // the buffers, so everything posted in it becomes readable and
+          // the drained buffer writable. Mail posted in a run's last
+          // window therefore stays readable for the next run_until call.
+          report_drains();
+          write_buf_ ^= 1;
+          if (std::any_of(failures_.begin(), failures_.end(),
+                          [](const auto& f) { return f != nullptr; })) {
+            done_ = true;
+            return;
+          }
+          plan_matrix(until);
+        },
+        hw != 0 && hw < static_cast<unsigned>(n)};
 
-    auto worker = [this, &sync, matrix](int shard_index) {
-      Simulator& sim = *shards_[static_cast<std::size_t>(shard_index)];
-      ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard_index)];
+    auto worker = [this, &sync](int shard_index) {
+      const auto i = static_cast<std::size_t>(shard_index);
+      Simulator& sim = *shards_[i];
+      ShardStats& stats = shard_stats_[i];
       bool first_arrival = true;
       while (true) {
-        if (failed_shard_.load(std::memory_order_relaxed) < 0) {
-          try {
-            if (matrix) drain_inbox(shard_index);
-            const SimTime end =
-                window_end_[static_cast<std::size_t>(shard_index)];
-            if (sim.next_event_time() <= end) {
-              const std::uint64_t before = sim.events_dispatched();
-              sim.run_until(end);
-              stats.window_events += sim.events_dispatched() - before;
-            } else {
-              // Idle-shard fast path: nothing due inside the window and
-              // the inbox is already drained — skip the run_until call
-              // (the final clock clamp below catches now() up).
-              ++stats.windows_skipped;
-            }
-          } catch (...) {
-            // Record the fault but keep arriving at the barrier: the other
-            // workers must not be left waiting on a phase that never
-            // completes. Lowest shard index wins, deterministically-ish;
-            // the rethrow below reports the first recorded one.
-            int expected = -1;
-            if (failed_shard_.compare_exchange_strong(expected, shard_index,
-                                                      std::memory_order_acq_rel)) {
-              failure_ = std::current_exception();
-            }
+        try {
+          drain_inbox(shard_index);
+          const SimTime end = window_end_[i];
+          if (sim.next_event_time() <= end) {
+            const std::uint64_t before = sim.events_dispatched();
+            sim.run_until(end);
+            stats.window_events += sim.events_dispatched() - before;
+          } else {
+            // Idle-shard fast path: nothing due inside the window and
+            // the inbox is already drained — skip the run_until call
+            // (the final clock clamp below catches now() up).
+            ++stats.windows_skipped;
           }
+        } catch (...) {
+          // Record the fault and keep arriving at the barrier: the other
+          // workers finish this window and must not be left waiting on a
+          // phase that never completes. The completion step ends the run.
+          failures_[i] = std::current_exception();
         }
         if (first_arrival) {
           // The first wait absorbs thread-spawn skew and engine setup;
@@ -439,8 +350,11 @@ std::uint64_t ShardedEngine::run_windows(SimTime until) {
     worker(0);
     for (auto& t : threads) t.join();
 
-    if (failed_shard_.load(std::memory_order_relaxed) >= 0 && failure_) {
-      std::rethrow_exception(failure_);
+    // Every shard ran the failing window to its end, so which shards
+    // failed depends on simulation state alone, never on which worker
+    // threw first in wall time: report the lowest index.
+    for (const std::exception_ptr& failure : failures_) {
+      if (failure) std::rethrow_exception(failure);
     }
   }
 

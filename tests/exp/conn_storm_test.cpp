@@ -1,6 +1,6 @@
 // Connection-storm scenario: validation, clean-storm drain, graceful
 // backlog degradation, port exhaustion, determinism across runs, and the
-// scheduler-backend / shard-count axes.
+// shard-count axis.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -205,8 +205,8 @@ TEST(ConnectionStorm, DeterministicForFixedSeed) {
   EXPECT_EQ(a.setup_latency_s, b.setup_latency_s);
 }
 
-// The storm is built on the control shard and never partitioned, so any
-// scheduler backend and any shard count must take the exact serial path.
+// The storm is built on the control shard and never partitioned, so a
+// world of any shard count must take the exact serial path.
 TEST(ConnectionStorm, IdenticalAcrossSchedulerBackendsAndShardCounts) {
   ConnectionStormConfig cfg = quick_config();
   cfg.connections_total = 30;
@@ -215,22 +215,16 @@ TEST(ConnectionStorm, IdenticalAcrossSchedulerBackendsAndShardCounts) {
 
   std::vector<std::vector<double>> latencies;
   std::vector<std::uint64_t> retx;
-  for (const char* sched : {"heap", "wheel"}) {
-    for (const char* shards : {"1", "4"}) {
-      setenv("TRIM_SCHEDULER", sched, 1);
-      setenv("TRIM_SHARDS", shards, 1);
-      const auto r = run_connection_storm(cfg);
-      EXPECT_EQ(r.stuck_connections, 0u)
-          << sched << " x " << shards << " shards";
-      latencies.push_back(r.setup_latency_s);
-      retx.push_back(r.syn_retx);
-    }
+  for (const int shards : {1, 2, 4}) {
+    cfg.shards = shards;
+    const auto r = run_connection_storm(cfg);
+    EXPECT_EQ(r.stuck_connections, 0u) << shards << " shards";
+    latencies.push_back(r.setup_latency_s);
+    retx.push_back(r.syn_retx);
   }
-  unsetenv("TRIM_SCHEDULER");
-  unsetenv("TRIM_SHARDS");
   for (std::size_t i = 1; i < latencies.size(); ++i) {
-    EXPECT_EQ(latencies[i], latencies[0]) << "combination " << i;
-    EXPECT_EQ(retx[i], retx[0]) << "combination " << i;
+    EXPECT_EQ(latencies[i], latencies[0]) << "width index " << i;
+    EXPECT_EQ(retx[i], retx[0]) << "width index " << i;
   }
 }
 

@@ -1,10 +1,9 @@
-// Lockstep equivalence for the diagnosis layer: one storm config run
-// across {heap, wheel} scheduler backends x {1, 4} shards must produce
-// identical diagnosed episodes, identical span statistics (digest
-// included), and identical event counts for every non-shard event kind.
-// This is the observability counterpart of scheduler_equivalence_test:
-// the *simulation* being byte-identical is already covered there; here
-// we pin down that the telemetry derived from it is too.
+// Lockstep equivalence for the diagnosis layer: one storm config run on
+// {1, 4} shards must produce identical diagnosed episodes, identical span
+// statistics (digest included), and identical event counts for every
+// non-shard event kind. The *simulation* being identical is covered by
+// conn_storm_test; here we pin down that the telemetry derived from it
+// is too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,18 +20,7 @@
 namespace trim::exp {
 namespace {
 
-struct Combo {
-  const char* label;
-  sim::SchedulerKind scheduler;
-  int shards;
-};
-
-constexpr Combo kCombos[] = {
-    {"heap x 1", sim::SchedulerKind::kHeap, 1},
-    {"heap x 4", sim::SchedulerKind::kHeap, 4},
-    {"wheel x 1", sim::SchedulerKind::kWheel, 1},
-    {"wheel x 4", sim::SchedulerKind::kWheel, 4},
-};
+constexpr int kShardCounts[] = {1, 4};
 
 // An RST-policy backlog storm: hot enough to saturate the tiny backlog
 // (backlog_saturation episodes guaranteed) while still draining fully.
@@ -83,13 +71,12 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
 
   const ConnectionStormConfig base = storm_config();
   std::vector<obs::TelemetrySnapshot> snaps;
-  for (const Combo& combo : kCombos) {
+  for (const int shards : kShardCounts) {
     ConnectionStormConfig cfg = base;
-    cfg.scheduler = combo.scheduler;
-    cfg.shards = combo.shards;
+    cfg.shards = shards;
     const auto r = run_connection_storm(cfg);
-    EXPECT_EQ(r.stuck_connections, 0u) << combo.label;
-    EXPECT_GT(r.backlog.overflow_rsts, 0u) << combo.label;
+    EXPECT_EQ(r.stuck_connections, 0u) << shards << " shards";
+    EXPECT_GT(r.backlog.overflow_rsts, 0u) << shards << " shards";
     snaps.push_back(r.telemetry);
   }
   unsetenv("TRIM_TRACE");
@@ -112,7 +99,7 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
   EXPECT_EQ(ref.spans.dropped, 0u);
 
   for (std::size_t i = 1; i < snaps.size(); ++i) {
-    const char* label = kCombos[i].label;
+    const std::string label = std::to_string(kShardCounts[i]) + " shards";
     const auto& snap = snaps[i];
 
     ASSERT_EQ(snap.episodes.size(), ref.episodes.size()) << label;
@@ -141,7 +128,6 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
 TEST(DiagnosisEquivalence, DetectorsOffLeavesResultsIdentical) {
   // TRIM_DETECTORS=0 must not change the simulation, only the episodes.
   ConnectionStormConfig cfg = storm_config();
-  cfg.scheduler = sim::SchedulerKind::kHeap;
   cfg.shards = 1;
 
   setenv("TRIM_DETECTORS", "1", 1);

@@ -12,14 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
 #include "exp/large_scale_scenario.hpp"
 #include "sim/random.hpp"
-#include "sim/sched_types.hpp"
 #include "tcp/flow.hpp"
 #include "topo/partition.hpp"
 #include "topo/two_tier.hpp"
@@ -42,9 +40,8 @@ struct FlowSig {
 // are time-disjoint, nothing queues behind anything else, and no packet
 // is ever dropped. Physics for such a workload is independent of the
 // engine's event interleaving, so results must match exactly.
-std::vector<FlowSig> run_light_load(int shards, std::uint64_t seed,
-                                    std::optional<sim::SyncMode> sync = {}) {
-  World world{shards, std::nullopt, sync};
+std::vector<FlowSig> run_light_load(int shards, std::uint64_t seed) {
+  World world{shards};
   EXPECT_EQ(world.shard_count(), shards);
 
   topo::TwoTierConfig tcfg;
@@ -109,24 +106,6 @@ TEST_P(ShardEquivalence, DropFreeRunMatchesSerialExactly) {
   }
 }
 
-// The matrix protocol runs different (per-shard) window boundaries than
-// the global one, but on a drop-free, time-disjoint workload both must
-// reproduce the serial physics bit-for-bit: window placement may only
-// change *when* a cross-shard event is drained, never its timestamp.
-TEST_P(ShardEquivalence, GlobalAndMatrixSyncAgreeExactly) {
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const auto serial = run_light_load(1, seed);
-    const auto global = run_light_load(GetParam(), seed, sim::SyncMode::kGlobal);
-    const auto matrix = run_light_load(GetParam(), seed, sim::SyncMode::kMatrix);
-    ASSERT_EQ(global.size(), matrix.size());
-    ASSERT_EQ(serial.size(), matrix.size());
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      EXPECT_EQ(global[i], matrix[i]) << "flow " << i << ", seed " << seed;
-      EXPECT_EQ(serial[i], matrix[i]) << "flow " << i << ", seed " << seed;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Widths, ShardEquivalence, ::testing::Values(2, 4, 8));
 
 LargeScaleConfig quick_fig08(int shards) {
@@ -143,24 +122,20 @@ LargeScaleConfig quick_fig08(int shards) {
 }
 
 TEST(ShardEquivalence, ShardedLargeScaleIsReproducible) {
-  // Both sync protocols must be exactly reproducible on the contended
-  // incast at a fixed width, run-to-run.
-  for (const auto mode : {sim::SyncMode::kGlobal, sim::SyncMode::kMatrix}) {
-    auto cfg = quick_fig08(4);
-    cfg.sync_mode = mode;
-    const auto a = run_large_scale(cfg);
-    const auto b = run_large_scale(cfg);
-    SCOPED_TRACE(sim::to_string(mode));
-    EXPECT_EQ(a.shards, 4);
-    EXPECT_EQ(a.spt_act_ms, b.spt_act_ms);
-    EXPECT_EQ(a.spt_max_ms, b.spt_max_ms);
-    EXPECT_EQ(a.completed_spts, b.completed_spts);
-    EXPECT_EQ(a.spt_timeouts, b.spt_timeouts);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-    EXPECT_EQ(a.windows, b.windows);
-    EXPECT_EQ(a.windows_skipped, b.windows_skipped);
-  }
+  // The contended incast must be exactly reproducible at a fixed width,
+  // run-to-run.
+  const auto cfg = quick_fig08(4);
+  const auto a = run_large_scale(cfg);
+  const auto b = run_large_scale(cfg);
+  EXPECT_EQ(a.shards, 4);
+  EXPECT_EQ(a.spt_act_ms, b.spt_act_ms);
+  EXPECT_EQ(a.spt_max_ms, b.spt_max_ms);
+  EXPECT_EQ(a.completed_spts, b.completed_spts);
+  EXPECT_EQ(a.spt_timeouts, b.spt_timeouts);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_EQ(a.windows, b.windows);
+  EXPECT_EQ(a.windows_skipped, b.windows_skipped);
 }
 
 TEST(ShardEquivalence, LargeScaleCompletesAtEveryWidth) {

@@ -1,41 +1,10 @@
-#include "sim/event_queue.hpp"
+#include "sim/heap_event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 namespace trim::sim {
-
-SchedulerKind scheduler_kind_from_env() {
-  static const SchedulerKind kind = [] {
-    const char* env = std::getenv("TRIM_SCHEDULER");
-    if (env != nullptr && std::string_view{env} == "heap") {
-      return SchedulerKind::kHeap;
-    }
-    return SchedulerKind::kWheel;
-  }();
-  return kind;
-}
-
-const char* to_string(SchedulerKind kind) {
-  return kind == SchedulerKind::kHeap ? "heap" : "wheel";
-}
-
-SyncMode sync_mode_from_env() {
-  static const SyncMode mode = [] {
-    const char* env = std::getenv("TRIM_SHARD_SYNC");
-    if (env != nullptr && std::string_view{env} == "global") {
-      return SyncMode::kGlobal;
-    }
-    return SyncMode::kMatrix;
-  }();
-  return mode;
-}
-
-const char* to_string(SyncMode mode) {
-  return mode == SyncMode::kGlobal ? "global" : "matrix";
-}
 
 // 4-ary layout: children of heap position p are 4p+1 .. 4p+4, parent is
 // (p-1)/4. Half the tree depth of a binary heap means half the sift

@@ -1,25 +1,16 @@
-// The simulator's pending-event set, behind a runtime-selected backend.
-//
-// Two backends implement the same contract — events dispatch in
+// Reference scheduler for the engine's tests: an index-tracked 4-ary heap
+// with the same contract as sim::CalendarQueue — events dispatch in
 // (time, insertion-sequence) order, cancellation is true removal, stale
-// EventIds are no-ops by construction, and steady state allocates
-// nothing:
-//
-//   - HeapEventQueue: index-tracked 4-ary heap, O(log n) per operation.
-//   - CalendarQueue (sim/calendar_queue.hpp): hierarchical timing wheel,
-//     amortized O(1) per operation — flat in pending-event count, which is
-//     what the large fig08/fig12 sweeps are bound by.
-//
-// EventQueue is the thin facade the Simulator owns: it picks a backend at
-// construction (TRIM_SCHEDULER=heap|wheel, default wheel) and forwards.
-// Both backends dispatch byte-identically, so the switch is a pure A/B
-// performance knob. See docs/ENGINE.md for the lifecycle and invariants.
+// EventIds are no-ops by construction, and steady state allocates nothing.
+// It is a plain comparison sort with none of the wheel's bucketing,
+// cascading or ready-run bookkeeping, which is what makes it a useful
+// oracle: the equivalence tests assert the wheel dispatches exactly the
+// sequence this queue does.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/sched_types.hpp"
 #include "sim/time.hpp"
@@ -101,53 +92,6 @@ class HeapEventQueue {
   std::vector<HeapEntry> heap_;  // 4-ary min-heap on (at, seq)
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 1;
-};
-
-// Facade over the two scheduler backends. Exactly one backend is active
-// per queue (chosen at construction and fixed for life); the inactive one
-// is an empty shell of unallocated vectors.
-class EventQueue {
- public:
-  using Callback = InlineCallback;
-  using Popped = PoppedEvent;
-
-  EventQueue() : EventQueue{scheduler_kind_from_env()} {}
-  explicit EventQueue(SchedulerKind kind) : kind_{kind} {}
-
-  SchedulerKind kind() const { return kind_; }
-
-  EventId push(SimTime at, Callback cb) {
-    return kind_ == SchedulerKind::kHeap ? heap_.push(at, std::move(cb))
-                                         : wheel_.push(at, std::move(cb));
-  }
-  void cancel(EventId id) {
-    kind_ == SchedulerKind::kHeap ? heap_.cancel(id) : wheel_.cancel(id);
-  }
-  bool is_pending(EventId id) const {
-    return kind_ == SchedulerKind::kHeap ? heap_.is_pending(id)
-                                         : wheel_.is_pending(id);
-  }
-  bool empty() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.empty() : wheel_.empty();
-  }
-  std::size_t size() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.size() : wheel_.size();
-  }
-  SimTime next_time() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.next_time()
-                                         : wheel_.next_time();
-  }
-  Popped pop() {
-    return kind_ == SchedulerKind::kHeap ? heap_.pop() : wheel_.pop();
-  }
-  void clear() {
-    kind_ == SchedulerKind::kHeap ? heap_.clear() : wheel_.clear();
-  }
-
- private:
-  SchedulerKind kind_;
-  HeapEventQueue heap_;
-  CalendarQueue wheel_;
 };
 
 }  // namespace trim::sim

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/config_error.hpp"
@@ -15,6 +15,16 @@
 
 namespace trim::sim {
 namespace {
+
+// Registers a cut of `delay` between every ordered pair of shards: a
+// symmetric fabric without spelling out each pair.
+void note_cut_link_all(ShardedEngine& engine, SimTime delay) {
+  for (int src = 0; src < engine.shard_count(); ++src) {
+    for (int dst = 0; dst < engine.shard_count(); ++dst) {
+      if (src != dst) engine.note_cut_link(src, dst, delay);
+    }
+  }
+}
 
 TEST(ShardedEngine, SingleShardRunsSerially) {
   ShardedEngine engine{1};
@@ -50,7 +60,7 @@ TEST(ShardedEngine, UnpartitionedMultiShardTakesSerialPath) {
 
 TEST(ShardedEngine, CrossShardPingPongObeysDelays) {
   ShardedEngine engine{2};
-  engine.note_cut_link(SimTime::micros(10));
+  note_cut_link_all(engine, SimTime::micros(10));
   ASSERT_TRUE(engine.sharded());
   ASSERT_EQ(engine.lookahead(), SimTime::micros(10));
 
@@ -86,7 +96,7 @@ TEST(ShardedEngine, CrossShardPingPongObeysDelays) {
 
 TEST(ShardedEngine, MailboxFlushOrderIsSourceMajorFifo) {
   ShardedEngine engine{3};
-  engine.note_cut_link(SimTime::micros(50));
+  note_cut_link_all(engine, SimTime::micros(50));
 
   // Shards 1 and 2 each post two entries to shard 0, all due at the same
   // instant. The flush contract is (destination, source, FIFO): shard 1's
@@ -106,7 +116,7 @@ TEST(ShardedEngine, MailboxFlushOrderIsSourceMajorFifo) {
 
 TEST(ShardedEngine, RunUntilClampsEveryShardClock) {
   ShardedEngine engine{2};
-  engine.note_cut_link(SimTime::micros(10));
+  note_cut_link_all(engine, SimTime::micros(10));
   int fired = 0;
   engine.shard(0).schedule_at(SimTime::micros(40), [&] { ++fired; });
   engine.shard(1).schedule_at(SimTime::millis(5), [&] { ++fired; });
@@ -127,7 +137,7 @@ TEST(ShardedEngine, RunUntilClampsEveryShardClock) {
 TEST(ShardedEngine, WindowedRunIsDeterministic) {
   auto run_once = [] {
     ShardedEngine engine{4};
-    engine.note_cut_link(SimTime::micros(20));
+    note_cut_link_all(engine, SimTime::micros(20));
     // One arrival log per destination shard: each is written only by that
     // shard's worker thread, so the logs stay race-free while the mesh
     // below runs all four shards concurrently.
@@ -157,7 +167,7 @@ TEST(ShardedEngine, WindowedRunIsDeterministic) {
 
 TEST(ShardedEngine, ZeroDelayCutLinkRejected) {
   ShardedEngine engine{2};
-  EXPECT_THROW(engine.note_cut_link(SimTime::zero()), ConfigError);
+  EXPECT_THROW(note_cut_link_all(engine, SimTime::zero()), ConfigError);
 }
 
 TEST(ShardedEngine, BadShardCountRejected) {
@@ -166,20 +176,29 @@ TEST(ShardedEngine, BadShardCountRejected) {
 }
 
 TEST(ShardedEngine, WorkerExceptionPropagates) {
-  ShardedEngine engine{2};
-  engine.note_cut_link(SimTime::micros(10));
-  std::atomic<int> survivors{0};
-  engine.shard(0).schedule_at(SimTime::micros(5), [&] { ++survivors; });
-  engine.shard(1).schedule_at(SimTime::micros(5), [] {
-    throw std::runtime_error{"shard 1 blew up"};
-  });
-
-  // The throw must propagate to the caller without deadlocking the
-  // barrier. Whether shard 0 got its event in first depends on which
-  // worker won the race against the fail-fast guard, so the survivor
-  // count is 0 or 1 — the hard guarantee is termination + propagation.
-  EXPECT_THROW(engine.run_until(SimTime::millis(1)), std::runtime_error);
-  EXPECT_LE(survivors.load(), 1);
+  // Shards 1 and 2 both throw in the first window. The run must end
+  // without deadlocking the barrier, every shard must finish that window,
+  // and the caller must get the lowest failed shard's exception — on every
+  // run, whichever worker happens to throw first in wall time.
+  for (int run = 0; run < 50; ++run) {
+    ShardedEngine engine{3};
+    note_cut_link_all(engine, SimTime::micros(10));
+    bool shard0_ran = false;  // written only by shard 0's worker
+    engine.shard(0).schedule_at(SimTime::micros(5), [&] { shard0_ran = true; });
+    engine.shard(1).schedule_at(SimTime::micros(5), [] {
+      throw std::runtime_error{"shard 1 blew up"};
+    });
+    engine.shard(2).schedule_at(SimTime::micros(5), [] {
+      throw std::runtime_error{"shard 2 blew up"};
+    });
+    try {
+      engine.run_until(SimTime::millis(1));
+      ADD_FAILURE() << "run " << run << ": no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1 blew up") << "run " << run;
+    }
+    EXPECT_TRUE(shard0_ran) << "run " << run;
+  }
 }
 
 TEST(ShardedEngine, ShardsFromEnvIsClamped) {
@@ -188,16 +207,7 @@ TEST(ShardedEngine, ShardsFromEnvIsClamped) {
   EXPECT_LE(n, 256);
 }
 
-// ---- matrix sync protocol ----
-
-TEST(ShardedEngine, SyncModeKnobParsesAndDefaults) {
-  EXPECT_STREQ(to_string(SyncMode::kGlobal), "global");
-  EXPECT_STREQ(to_string(SyncMode::kMatrix), "matrix");
-  ShardedEngine dflt{2};
-  EXPECT_EQ(dflt.sync_mode(), sync_mode_from_env());
-  ShardedEngine pinned{2, scheduler_kind_from_env(), SyncMode::kGlobal};
-  EXPECT_EQ(pinned.sync_mode(), SyncMode::kGlobal);
-}
+// ---- lookahead matrix ----
 
 TEST(ShardedEngine, BadCutLinkPairsRejected) {
   ShardedEngine engine{2};
@@ -227,7 +237,7 @@ TEST(ShardedEngine, LookaheadMatrixClosesOverRelays) {
   EXPECT_EQ(engine.lookahead_between(0, 0), SimTime::micros(20));
   EXPECT_EQ(engine.lookahead_between(1, 1), SimTime::micros(20));
   EXPECT_EQ(engine.lookahead_between(2, 2), SimTime::max());
-  // The global lookahead keeps its min-over-all-cuts meaning.
+  // The reported lookahead is the minimum over all cuts.
   EXPECT_EQ(engine.lookahead(), SimTime::micros(10));
 }
 
@@ -236,7 +246,7 @@ TEST(ShardedEngine, MatrixRelayThroughIdleShardPreservesCausality) {
   // will reach shard 2 only via shard 1, which is idle at planning time.
   // Without the closed L[0][2] bound shard 2 would run past the relayed
   // arrival and dispatch it behind its own clock.
-  ShardedEngine engine{3, scheduler_kind_from_env(), SyncMode::kMatrix};
+  ShardedEngine engine{3};
   engine.note_cut_link(0, 1, SimTime::micros(10));
   engine.note_cut_link(1, 0, SimTime::micros(10));
   engine.note_cut_link(1, 2, SimTime::micros(15));
@@ -267,69 +277,82 @@ TEST(ShardedEngine, MatrixRelayThroughIdleShardPreservesCausality) {
 }
 
 TEST(ShardedEngine, MatrixMatchesGlobalOnDistinctTimestamps) {
-  // The WindowedRunIsDeterministic mesh has no same-timestamp collisions
-  // on any one shard, so both sync protocols must produce *identical*
-  // arrival logs — the unit-level version of the shard_equivalence
-  // FlowSig oracle.
-  auto run_once = [](SyncMode mode) {
-    ShardedEngine engine{4, scheduler_kind_from_env(), mode};
-    for (int s = 0; s < 4; ++s) {
-      engine.note_cut_link(s, (s + 1) % 4, SimTime::micros(20));
+  // A ring with no same-timestamp collisions on any one shard: every shard
+  // posts to its successor at 3k us (k = 1..8) across a 20 us cut, so each
+  // destination must log exactly its predecessor's eight posts, each at
+  // 3k + 20 us and in posting order, whatever windows the plan runs.
+  ShardedEngine engine{4};
+  for (int s = 0; s < 4; ++s) {
+    engine.note_cut_link(s, (s + 1) % 4, SimTime::micros(20));
+  }
+  using Arrival = std::pair<SimTime, int>;  // (arrival time, s * 100 + k)
+  std::vector<std::vector<Arrival>> arrived(4);  // [dst], dst's worker only
+  for (int s = 0; s < 4; ++s) {
+    for (int k = 1; k <= 8; ++k) {
+      engine.shard(s).schedule_at(SimTime::micros(3 * k), [&engine, &arrived, s, k] {
+        const int to = (s + 1) % 4;
+        engine.post(s, to, engine.shard(s).now() + SimTime::micros(20),
+                    [&engine, &arrived, to, s, k] {
+                      arrived[to].emplace_back(engine.shard(to).now(), s * 100 + k);
+                    });
+      });
     }
-    std::vector<std::vector<int>> arrived(4);
-    for (int s = 0; s < 4; ++s) {
-      for (int k = 1; k <= 8; ++k) {
-        engine.shard(s).schedule_at(SimTime::micros(3 * k), [&engine, &arrived, s, k] {
-          const int to = (s + 1) % 4;
-          engine.post(s, to,
-                      engine.shard(s).now() + SimTime::micros(20),
-                      [&arrived, to, s, k] { arrived[to].push_back(s * 100 + k); });
-        });
-      }
+  }
+  engine.run();
+  for (int dst = 0; dst < 4; ++dst) {
+    const int src = (dst + 3) % 4;
+    std::vector<Arrival> expected;
+    for (int k = 1; k <= 8; ++k) {
+      expected.emplace_back(SimTime::micros(3 * k + 20), src * 100 + k);
     }
-    engine.run();
-    std::vector<int> order;
-    for (const auto& log : arrived) order.insert(order.end(), log.begin(), log.end());
-    return order;
-  };
-  const auto matrix_a = run_once(SyncMode::kMatrix);
-  const auto matrix_b = run_once(SyncMode::kMatrix);
-  const auto global = run_once(SyncMode::kGlobal);
-  ASSERT_EQ(matrix_a.size(), 32u);
-  EXPECT_EQ(matrix_a, matrix_b);
-  EXPECT_EQ(matrix_a, global);
+    EXPECT_EQ(arrived[dst], expected) << "destination " << dst;
+  }
 }
 
 TEST(ShardedEngine, IdleShardSkipsWindowsAndNeedsFewerOfThem) {
   // Shard 0 streams local events while shard 1 never has work. The matrix
-  // protocol sees no path back into shard 0 (one-directional cut), lets
-  // it run to the horizon in a single window, and fast-paths shard 1
-  // through it; the global protocol paces the whole fleet at the 10 us
-  // cut lookahead.
-  ShardedEngine matrix{2, scheduler_kind_from_env(), SyncMode::kMatrix};
-  matrix.note_cut_link(0, 1, SimTime::micros(10));
-  int fired_m = 0;
+  // sees no path back into shard 0 (one-directional cut), lets it run to
+  // the horizon in a single window, and fast-paths shard 1 through it.
+  ShardedEngine engine{2};
+  engine.note_cut_link(0, 1, SimTime::micros(10));
+  int fired = 0;
   for (int k = 1; k <= 10; ++k) {
-    matrix.shard(0).schedule_at(SimTime::micros(10 * k), [&fired_m] { ++fired_m; });
+    engine.shard(0).schedule_at(SimTime::micros(10 * k), [&fired] { ++fired; });
   }
-  matrix.run_until(SimTime::micros(200));
+  engine.run_until(SimTime::micros(200));
 
-  ShardedEngine global{2, scheduler_kind_from_env(), SyncMode::kGlobal};
-  global.note_cut_link(0, 1, SimTime::micros(10));
-  int fired_g = 0;
-  for (int k = 1; k <= 10; ++k) {
-    global.shard(0).schedule_at(SimTime::micros(10 * k), [&fired_g] { ++fired_g; });
-  }
-  global.run_until(SimTime::micros(200));
-
-  EXPECT_EQ(fired_m, 10);
-  EXPECT_EQ(fired_g, 10);
-  EXPECT_EQ(matrix.windows_run(), 1u);
-  EXPECT_EQ(matrix.shard_stats(1).windows_skipped, 1u);
-  EXPECT_EQ(matrix.shard_stats(1).window_events, 0u);
-  EXPECT_GT(global.windows_run(), matrix.windows_run());
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(engine.windows_run(), 1u);
+  EXPECT_EQ(engine.shard_stats(1).windows_skipped, 1u);
+  EXPECT_EQ(engine.shard_stats(1).window_events, 0u);
   // Clock clamp semantics hold for the skipped shard too.
-  EXPECT_EQ(matrix.shard(1).now(), SimTime::micros(200));
+  EXPECT_EQ(engine.shard(1).now(), SimTime::micros(200));
+}
+
+TEST(ShardedEngine, MailInFlightAcrossRunUntilCallsArrivesOnTime) {
+  // Shard 0 posts at 5 us for delivery at 15 us, and the first call stops
+  // at 10 us with that post still in its mailbox. Resuming must deliver it
+  // at 15 us, between shard 1's own 12 us and 30 us events — not after
+  // whatever window shard 1 runs next.
+  ShardedEngine engine{2};
+  engine.note_cut_link(0, 1, SimTime::micros(10));
+  engine.note_cut_link(1, 0, SimTime::micros(10));
+  std::vector<SimTime> shard1_log;  // written only by shard 1's worker
+  auto log_now = [&engine, &shard1_log] {
+    shard1_log.push_back(engine.shard(1).now());
+  };
+  engine.shard(0).schedule_at(SimTime::micros(5), [&engine, log_now] {
+    engine.post(0, 1, SimTime::micros(15), log_now);
+  });
+  engine.shard(1).schedule_at(SimTime::micros(12), log_now);
+  engine.shard(1).schedule_at(SimTime::micros(30), log_now);
+
+  engine.run_until(SimTime::micros(10));
+  EXPECT_EQ(engine.pending_events(), 3u);  // two local events + one post
+  engine.run_until(SimTime::micros(100));
+
+  EXPECT_EQ(shard1_log, (std::vector<SimTime>{SimTime::micros(12), SimTime::micros(15),
+                                              SimTime::micros(30)}));
 }
 
 TEST(ShardedEngine, EagerInboxStressAllPairs) {
@@ -337,12 +360,8 @@ TEST(ShardedEngine, EagerInboxStressAllPairs) {
   // other shard from inside its window, across many windows, so source
   // pushes and destination drains continuously hit the double-buffered
   // mailboxes from different threads.
-  ShardedEngine engine{4, scheduler_kind_from_env(), SyncMode::kMatrix};
-  for (int s = 0; s < 4; ++s) {
-    for (int d = 0; d < 4; ++d) {
-      if (s != d) engine.note_cut_link(s, d, SimTime::micros(10));
-    }
-  }
+  ShardedEngine engine{4};
+  note_cut_link_all(engine, SimTime::micros(10));
   std::vector<std::uint64_t> arrivals(4, 0);  // written by the owner worker
   for (int s = 0; s < 4; ++s) {
     for (int k = 1; k <= 50; ++k) {

@@ -1,10 +1,8 @@
 // The full connection lifecycle: three-way handshake, FIN teardown from
 // both sides, RST paths, control-packet loss with exponential backoff,
-// simultaneous close, TIME_WAIT dwell, and the challenge-ACK defense —
-// plus the heap/wheel scheduler-backend equivalence of all of it.
+// simultaneous close, TIME_WAIT dwell, and the challenge-ACK defense.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -423,38 +421,6 @@ TEST(Lifecycle, RstResponderAnswersStraysForDeadFlows) {
   EXPECT_EQ(responder.rsts_sent(), 1u);
   // And a RST for a dead flow is never answered (no ping-pong).
   EXPECT_EQ(net.b.unroutable_packets(), 1u);
-}
-
-// The whole lifecycle is scheduler-agnostic: the same lossy script yields
-// identical stats under the heap and the calendar-wheel backend.
-TEST(Lifecycle, IdenticalUnderHeapAndWheelSchedulers) {
-  struct Sig {
-    std::uint64_t syn_retx, fin_retx, delivered;
-    double setup_ms;
-    bool operator==(const Sig&) const = default;
-  };
-  auto run_one = [](const char* backend) {
-    setenv("TRIM_SCHEDULER", backend, 1);
-    LifecyclePair net;  // Simulator reads TRIM_SCHEDULER at construction
-    auto cfg = lifecycle_cfg();
-    TcpReceiver recv{&net.b, 1, net.a.id(), listen_cfg(cfg)};
-    RenoSender sender{&net.a, net.b.id(), 1, cfg};
-    net.to_b->drop_syn(1);
-    net.to_b->drop_fin(1);
-    net.to_a->drop_fin(1);
-    sender.connect();
-    sender.write(20 * 1460);
-    sender.close();
-    net.sim.run();
-    unsetenv("TRIM_SCHEDULER");
-    EXPECT_EQ(sender.conn_state(), ConnState::kClosed) << backend;
-    EXPECT_EQ(recv.conn_state(), ConnState::kClosed) << backend;
-    return Sig{sender.lifecycle_stats().syn_retx,
-               sender.lifecycle_stats().fin_retx + recv.lifecycle_stats().fin_retx,
-               recv.delivered_bytes(),
-               sender.lifecycle_stats().setup_latency.to_millis()};
-  };
-  EXPECT_EQ(run_one("heap"), run_one("wheel"));
 }
 
 }  // namespace
