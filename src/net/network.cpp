@@ -2,8 +2,9 @@
 
 #include "sim/config_error.hpp"
 
-#include <deque>
-#include <stdexcept>
+#include <algorithm>
+#include <numeric>
+#include <utility>
 
 namespace trim::net {
 
@@ -52,36 +53,110 @@ Network::Duplex Network::connect(Node& a, Node& b, const LinkSpec& a_to_b,
   return Duplex{make(a, b, a_to_b), make(b, a, b_to_a)};
 }
 
-std::vector<int> Network::bfs_distances(NodeId from) const {
-  std::vector<int> dist(nodes_.size(), -1);
-  std::deque<NodeId> frontier{from};
-  dist[from] = 0;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const Edge& e : adjacency_[u]) {
-      if (dist[e.peer] == -1) {
-        dist[e.peer] = dist[u] + 1;
-        frontier.push_back(e.peer);
-      }
+void Network::build_routes() {
+  const auto n = static_cast<NodeId>(nodes_.size());
+  constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+
+  // Only switches forward: they alone get tables, and the BFS below
+  // expands only them and its root.
+  std::vector<NodeId> switches;
+  std::vector<char> forwards(n, 0);
+  for (NodeId id = 0; id < n; ++id) {
+    if (dynamic_cast<const Switch*>(nodes_[id].get()) != nullptr) {
+      switches.push_back(id);
+      forwards[id] = 1;
     }
   }
-  return dist;
-}
 
-void Network::build_routes() {
-  // One BFS per destination; every experiment in the paper has at most a
-  // few thousand nodes, so O(V * (V+E)) is fine.
-  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
-    const auto dist = bfs_distances(dst);  // symmetric links => same as to-dst
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      auto* sw = dynamic_cast<Switch*>(nodes_[u].get());
-      if (sw == nullptr || u == dst || dist[u] == -1) continue;
-      sw->routes().resize(nodes_.size());
+  // Each destination copies the port sets of one BFS root (routing.hpp):
+  // its own, or for a leaf hanging off a switch, that switch's. Nothing
+  // forwards to a leaf hanging off a host.
+  std::vector<NodeId> leaf_peer(n, kInvalidNode);
+  std::vector<NodeId> root_of(n, kInvalidNode);
+  std::vector<std::uint32_t> row_of(n, kNoRow);  // root -> its BFS's row in `via`
+  std::vector<NodeId> roots;
+  for (NodeId d = 0; d < n; ++d) {
+    const auto& edges = adjacency_[d];
+    NodeId root = d;
+    if (!edges.empty() && std::all_of(edges.begin(), edges.end(), [&](const Edge& e) {
+          return e.peer == edges.front().peer;
+        })) {
+      leaf_peer[d] = edges.front().peer;
+      root = forwards[leaf_peer[d]] ? leaf_peer[d] : kInvalidNode;
+    }
+    root_of[d] = root;
+    if (root != kInvalidNode && row_of[root] == kNoRow) {
+      row_of[root] = static_cast<std::uint32_t>(roots.size());
+      roots.push_back(root);
+    }
+  }
+
+  // Per root and switch k, the ports on a shortest path toward the root:
+  // via[via_off[row * switches + k], via_off[row * switches + k + 1]).
+  const std::size_t n_sw = switches.size();
+  std::vector<std::uint32_t> via_off{0};
+  via_off.reserve(roots.size() * n_sw + 1);
+  std::vector<std::uint32_t> via;
+  std::vector<int> dist(n, -1);
+  std::vector<NodeId> reached;  // BFS queue, then the nodes to reset
+  for (const NodeId root : roots) {
+    reached.assign(1, root);
+    dist[root] = 0;
+    for (std::size_t i = 0; i < reached.size(); ++i) {
+      const NodeId u = reached[i];
       for (const Edge& e : adjacency_[u]) {
-        if (dist[e.peer] == dist[u] - 1) sw->routes().add_route(dst, e.port);
+        if (forwards[e.peer] && dist[e.peer] == -1) {
+          dist[e.peer] = dist[u] + 1;
+          reached.push_back(e.peer);
+        }
       }
     }
+    for (const NodeId u : switches) {
+      if (dist[u] > 0) {
+        for (const Edge& e : adjacency_[u]) {
+          if (dist[e.peer] == dist[u] - 1) via.push_back(static_cast<std::uint32_t>(e.port));
+        }
+      }
+      via_off.push_back(static_cast<std::uint32_t>(via.size()));
+    }
+    for (const NodeId v : reached) dist[v] = -1;
+  }
+
+  // Each leaf's ports on its switch peer, in the peer's adjacency order:
+  // leaf_ports[leaf_off[d], leaf_off[d + 1]).
+  std::vector<std::uint32_t> leaf_off(std::size_t{n} + 1, 0);
+  for (const NodeId u : switches) {
+    for (const Edge& e : adjacency_[u]) {
+      if (leaf_peer[e.peer] == u) ++leaf_off[e.peer + 1];
+    }
+  }
+  std::partial_sum(leaf_off.begin(), leaf_off.end(), leaf_off.begin());
+  std::vector<std::uint32_t> leaf_ports(leaf_off.back());
+  std::vector<std::uint32_t> fill(leaf_off.begin(), leaf_off.end() - 1);
+  for (const NodeId u : switches) {
+    for (const Edge& e : adjacency_[u]) {
+      if (leaf_peer[e.peer] == u) leaf_ports[fill[e.peer]++] = static_cast<std::uint32_t>(e.port);
+    }
+  }
+
+  for (std::size_t k = 0; k < n_sw; ++k) {
+    const NodeId u = switches[k];
+    std::vector<std::uint32_t> offsets{0};
+    offsets.reserve(std::size_t{n} + 1);
+    std::vector<std::uint32_t> ports;
+    for (NodeId d = 0; d < n; ++d) {
+      if (d == u || root_of[d] == kInvalidNode) {
+        // no route
+      } else if (leaf_peer[d] == u) {
+        ports.insert(ports.end(), leaf_ports.begin() + leaf_off[d],
+                     leaf_ports.begin() + leaf_off[d + 1]);
+      } else {
+        const std::size_t at = row_of[root_of[d]] * n_sw + k;
+        ports.insert(ports.end(), via.begin() + via_off[at], via.begin() + via_off[at + 1]);
+      }
+      offsets.push_back(static_cast<std::uint32_t>(ports.size()));
+    }
+    static_cast<Switch&>(*nodes_[u]).routes_ = RoutingTable{std::move(offsets), std::move(ports)};
   }
 }
 

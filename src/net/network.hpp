@@ -51,8 +51,9 @@ class Network {
   Duplex connect(Node& a, Node& b, const LinkSpec& spec);
   Duplex connect(Node& a, Node& b, const LinkSpec& a_to_b, const LinkSpec& b_to_a);
 
-  // Compute shortest-path ECMP routes for every switch. Must be called
-  // after the last connect() and before traffic starts.
+  // Compute shortest-path ECMP routes for every switch (routing.hpp),
+  // replacing any earlier tables whole. Must be called after the last
+  // connect() and before traffic starts.
   void build_routes();
 
   // Distribute the built topology across `engine`'s shards:
@@ -92,8 +93,6 @@ class Network {
     NodeId peer;
     std::size_t port;  // egress port index on the owning node
   };
-
-  std::vector<int> bfs_distances(NodeId from) const;
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;

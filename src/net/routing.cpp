@@ -1,6 +1,8 @@
 #include "net/routing.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace trim::net {
 
@@ -12,24 +14,19 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void RoutingTable::add_route(NodeId dst, std::size_t port) {
-  if (dst >= next_hops_.size()) throw std::out_of_range("RoutingTable::add_route: bad dst");
-  next_hops_[dst].push_back(port);
-}
-
-bool RoutingTable::has_route(NodeId dst) const {
-  return dst < next_hops_.size() && !next_hops_[dst].empty();
-}
-
-const std::vector<std::size_t>& RoutingTable::ports_for(NodeId dst) const {
-  if (!has_route(dst)) throw std::out_of_range("RoutingTable: no route to destination");
-  return next_hops_[dst];
+RoutingTable::RoutingTable(std::vector<std::uint32_t> offsets,
+                           std::vector<std::uint32_t> ports)
+    : offsets_{std::move(offsets)}, ports_{std::move(ports)} {
+  const std::size_t end = offsets_.empty() ? 0 : offsets_.back();
+  if (end != ports_.size() || !std::is_sorted(offsets_.begin(), offsets_.end())) {
+    throw std::invalid_argument("RoutingTable: offsets must be sorted and end at ports.size()");
+  }
 }
 
 std::size_t RoutingTable::select_port(NodeId dst, FlowId flow, std::uint64_t salt) const {
-  const auto& ports = ports_for(dst);
-  if (ports.size() == 1) return ports[0];
-  return ports[mix64(flow ^ (salt << 32)) % ports.size()];
+  const auto ports = ports_for(dst);
+  if (ports.empty()) throw std::out_of_range("RoutingTable: no route to destination");
+  return ecmp_pick(ports, flow, salt);
 }
 
 }  // namespace trim::net

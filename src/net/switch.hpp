@@ -14,7 +14,6 @@ class Switch : public Node {
  public:
   using Node::Node;
 
-  RoutingTable& routes() { return routes_; }
   const RoutingTable& routes() const { return routes_; }
 
   void receive(Packet p) override;
@@ -23,6 +22,8 @@ class Switch : public Node {
   std::uint64_t unroutable_packets() const { return unroutable_; }
 
  private:
+  friend class Network;  // build_routes assigns routes_ whole
+
   RoutingTable routes_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;

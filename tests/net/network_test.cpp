@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/network.hpp"
 #include "net/routing.hpp"
 
@@ -180,13 +183,139 @@ TEST(Mix64, IsDeterministicAndSpreads) {
 }
 
 TEST(RoutingTable, ThrowsWithoutRoute) {
-  RoutingTable table;
-  table.resize(4);
+  sim::Simulator sim;
+  Network net{&sim};
+  auto* a = net.add_host("a");
+  auto* sw = net.add_switch("sw");
+  auto* lone = net.add_host("lone");  // never connected
+  net.connect(*a, *sw, gig_link());
+  net.build_routes();
+  const RoutingTable& table = sw->routes();
+  for (const NodeId dst : {lone->id(), sw->id(), NodeId{999}, kInvalidNode}) {
+    EXPECT_FALSE(table.has_route(dst)) << dst;
+    EXPECT_TRUE(table.ports_for(dst).empty()) << dst;
+    EXPECT_THROW(table.select_port(dst, 1234), std::out_of_range) << dst;
+  }
+  EXPECT_TRUE(table.has_route(a->id()));
+  EXPECT_EQ(table.select_port(a->id(), 1234), 0u);
+}
+
+TEST(RoutingTable, RejectsMalformedOffsets) {
+  EXPECT_THROW((RoutingTable{{0, 2}, {0}}), std::invalid_argument);     // end != ports
+  EXPECT_THROW((RoutingTable{{0, 2, 1}, {0}}), std::invalid_argument);  // decreasing
+  EXPECT_THROW((RoutingTable{{}, {0}}), std::invalid_argument);
+  const RoutingTable table{{0, 0, 2}, {3, 5}};
+  EXPECT_FALSE(table.has_route(0));
+  ASSERT_EQ(table.ports_for(1).size(), 2u);
+  EXPECT_EQ(table.ports_for(1)[1], 5u);
   EXPECT_FALSE(table.has_route(2));
-  EXPECT_THROW(table.ports_for(2), std::out_of_range);
-  table.add_route(2, 0);
-  EXPECT_TRUE(table.has_route(2));
-  EXPECT_EQ(table.select_port(2, 1234), 0u);
+}
+
+// Every switch's port set toward every node, for comparing builds.
+std::vector<std::vector<std::uint32_t>> route_snapshot(const Network& net) {
+  std::vector<std::vector<std::uint32_t>> sets;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    const auto* sw = dynamic_cast<const Switch*>(&net.node(u));
+    if (sw == nullptr) continue;
+    for (NodeId dst = 0; dst < net.node_count(); ++dst) {
+      const auto ports = sw->routes().ports_for(dst);
+      sets.emplace_back(ports.begin(), ports.end());
+    }
+  }
+  return sets;
+}
+
+TEST(Network, BuildRoutesIsIdempotentAndSeesNewLinks) {
+  sim::Simulator sim;
+  Network net{&sim};
+  auto* a = net.add_host("a");
+  auto* b = net.add_host("b");
+  auto* in = net.add_switch("in");
+  auto* out = net.add_switch("out");
+  auto* mid1 = net.add_switch("mid1");
+  auto* mid2 = net.add_switch("mid2");
+  net.connect(*a, *in, gig_link());
+  net.connect(*in, *mid1, gig_link());
+  net.connect(*in, *mid2, gig_link());
+  net.connect(*mid1, *out, gig_link());
+  net.connect(*mid2, *out, gig_link());
+  net.connect(*out, *b, gig_link());
+  net.build_routes();
+  const auto first = route_snapshot(net);
+  net.build_routes();
+  EXPECT_EQ(route_snapshot(net), first);
+  EXPECT_EQ(in->routes().ports_for(b->id()).size(), 2u);
+
+  // Grow the topology: a shortcut in -> out replaces both two-hop paths,
+  // and a new switch carries a new host.
+  net.connect(*in, *out, gig_link());
+  const auto shortcut = static_cast<std::uint32_t>(in->port_count() - 1);
+  auto* edge = net.add_switch("edge");
+  auto* c = net.add_host("c");
+  net.connect(*out, *edge, gig_link());
+  net.connect(*edge, *c, gig_link());
+  net.build_routes();
+  const auto to_b = in->routes().ports_for(b->id());
+  EXPECT_EQ(std::vector<std::uint32_t>(to_b.begin(), to_b.end()),
+            std::vector<std::uint32_t>{shortcut});
+
+  CountingAgent agent;
+  c->register_agent(1, &agent);
+  Packet p;
+  p.dst = c->id();
+  p.flow = 1;
+  a->send(std::move(p));
+  sim.run();
+  EXPECT_EQ(agent.count, 1);
+  EXPECT_EQ(mid1->forwarded_packets() + mid2->forwarded_packets(), 0u);
+}
+
+TEST(Network, MultiHomedHostIsNeverATransitHop) {
+  // a - s1 - h - s2 - b is the shortest path, but h is a host and never
+  // forwards: a -> b must take the longer all-switch path s1 - s3 - s4 - s2.
+  // Host x hangs off h alone, so no switch can reach it.
+  sim::Simulator sim;
+  Network net{&sim};
+  auto* a = net.add_host("a");
+  auto* b = net.add_host("b");
+  auto* h = net.add_host("h");
+  auto* x = net.add_host("x");
+  auto* s1 = net.add_switch("s1");
+  auto* s2 = net.add_switch("s2");
+  auto* s3 = net.add_switch("s3");
+  auto* s4 = net.add_switch("s4");
+  net.connect(*a, *s1, gig_link());
+  net.connect(*s1, *h, gig_link());
+  net.connect(*h, *s2, gig_link());
+  net.connect(*s1, *s3, gig_link());
+  net.connect(*s3, *s4, gig_link());
+  net.connect(*s4, *s2, gig_link());
+  net.connect(*s2, *b, gig_link());
+  net.connect(*x, *h, gig_link());
+  net.build_routes();
+
+  CountingAgent at_b, at_h;
+  b->register_agent(1, &at_b);
+  h->register_agent(2, &at_h);
+  Packet to_b;
+  to_b.dst = b->id();
+  to_b.flow = 1;
+  a->send(std::move(to_b));
+  Packet to_h;  // h itself stays reachable, directly from s1
+  to_h.dst = h->id();
+  to_h.flow = 2;
+  a->send(std::move(to_h));
+  Packet to_x;  // unroutable at s1 rather than dropped inside h
+  to_x.dst = x->id();
+  to_x.flow = 3;
+  a->send(std::move(to_x));
+  sim.run();
+  EXPECT_EQ(at_b.count, 1);
+  EXPECT_EQ(at_h.count, 1);
+  EXPECT_EQ(h->unroutable_packets(), 0u);
+  EXPECT_EQ(s1->unroutable_packets(), 1u);
+  EXPECT_EQ(s3->forwarded_packets(), 1u);
+  EXPECT_EQ(s4->forwarded_packets(), 1u);
 }
 
 }  // namespace

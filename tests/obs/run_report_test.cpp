@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
@@ -35,6 +36,16 @@ RunReport sample_report() {
   report.set_telemetry(std::move(tele));
   report.set_profile({{"sweep.job", 2, 1234, 2}});
   return report;
+}
+
+// peak_rss_bytes legitimately differs between two to_json() calls (the
+// process peak can rise in between); strip that single line before
+// comparing reports.
+std::string strip_rss(std::string s) {
+  const auto pos = s.find("\"peak_rss_bytes\"");
+  const auto end = s.find('\n', pos);
+  s.erase(pos, end - pos);
+  return s;
 }
 
 TEST(RunReport, JsonCarriesEverySection) {
@@ -81,7 +92,7 @@ TEST(RunReport, WriteHonorsReportJsonDir) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), sample_report().to_json());
+  EXPECT_EQ(strip_rss(buf.str()), strip_rss(sample_report().to_json()));
   std::remove(path.c_str());
   std::remove(tmpl);
 }
@@ -121,14 +132,6 @@ TEST(RunReport, ParallelMergeIsDeterministicAcrossJobWidths) {
 
   const auto serial = merged_json(1);
   const auto pooled = merged_json(4);
-  // peak_rss_bytes legitimately differs between the two invocations;
-  // strip that single line before comparing.
-  auto strip_rss = [](std::string s) {
-    const auto pos = s.find("\"peak_rss_bytes\"");
-    const auto end = s.find('\n', pos);
-    s.erase(pos, end - pos);
-    return s;
-  };
   EXPECT_EQ(strip_rss(serial), strip_rss(pooled));
   EXPECT_NE(serial.find("\"tcp.segments_sent\""), std::string::npos);
   EXPECT_NE(serial.find("\"trim.probe_enter\""), std::string::npos);
