@@ -121,12 +121,10 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   exp::report_job_failures("bench_conn_storm", failures);
 
-  bench::BenchJson json{"conn_storm"};
-  json.add("conn_storm_batch", static_cast<double>(cfgs.size()) / batch_wall,
-           {{"runs", static_cast<double>(cfgs.size())},
-            {"wall_seconds", batch_wall}});
-
   obs::RunReport report{"conn_storm"};
+  report.add_perf("conn_storm_batch", static_cast<double>(cfgs.size()) / batch_wall,
+                  {{"runs", static_cast<double>(cfgs.size())},
+                   {"wall_seconds", batch_wall}});
   bench::merge_telemetry(report, results);
 
   std::uint64_t total_violations = 0;
@@ -166,64 +164,58 @@ int main() {
              static_cast<long long>(ep_rto + ep_backlog + ep_collapse))});
 
     const auto& ev = r.telemetry.events;
-    json.add(name, 0.0,
-             {{"connections_attempted", static_cast<double>(r.connections_attempted)},
-              {"connections_established",
-               static_cast<double>(r.connections_established)},
-              {"graceful_closes", static_cast<double>(r.graceful_closes)},
-              {"aborted_closes", static_cast<double>(r.aborted_closes)},
-              {"no_port_skips", static_cast<double>(r.no_port_skips)},
-              {"stuck_connections", static_cast<double>(r.stuck_connections)},
-              {"setup_ms_p50", setup.p50},
-              {"setup_ms_p90", setup.p90},
-              {"setup_ms_p99", setup.p99},
-              {"setup_ms_max", setup.max},
-              {"backlog_overflow_drops",
-               static_cast<double>(r.backlog.overflow_drops)},
-              {"backlog_overflow_rsts",
-               static_cast<double>(r.backlog.overflow_rsts)},
-              {"backlog_peak_occupancy",
-               static_cast<double>(r.backlog.peak_occupancy)},
-              {"port_exhaustion_episodes",
-               static_cast<double>(r.ports.exhaustion_episodes)},
-              {"port_timewait_reclaims",
-               static_cast<double>(r.ports.timewait_reclaims)},
-              {"syn_retx", static_cast<double>(r.syn_retx)},
-              {"fin_retx", static_cast<double>(r.fin_retx)},
-              {"rst_sent", static_cast<double>(r.rst_sent)},
-              {"challenge_acks", static_cast<double>(r.challenge_acks)},
-              {"ctrl_fault_losses",
-               static_cast<double>(r.bottleneck_faults.ctrl_losses)},
-              {"invariant_checkpoints",
-               static_cast<double>(r.invariant_checkpoints)},
-              {"invariant_violations",
-               static_cast<double>(r.invariant_violations)},
-              {"ev_syn_retx", static_cast<double>(ev[obs::EventKind::kSynRetx])},
-              {"ev_backlog_drop",
-               static_cast<double>(ev[obs::EventKind::kBacklogDrop])},
-              {"ev_rst", static_cast<double>(ev[obs::EventKind::kRstSent])},
-              {"episodes_rto_sync", static_cast<double>(ep_rto)},
-              {"episodes_backlog_saturation", static_cast<double>(ep_backlog)},
-              {"episodes_throughput_collapse", static_cast<double>(ep_collapse)}});
-    report.add_row(name,
-                   {{"setup_ms_p99", setup.p99},
-                    {"stuck_connections", static_cast<double>(r.stuck_connections)},
-                    {"backlog_overflow_drops",
-                     static_cast<double>(r.backlog.overflow_drops)},
-                    {"rst_sent", static_cast<double>(r.rst_sent)},
-                    {"syn_retx", static_cast<double>(r.syn_retx)},
-                    {"episodes_diagnosed",
-                     static_cast<double>(ep_rto + ep_backlog + ep_collapse)}});
+    report.add_row(
+        name,
+        {{"connections_attempted", static_cast<double>(r.connections_attempted)},
+         {"connections_established",
+          static_cast<double>(r.connections_established)},
+         {"graceful_closes", static_cast<double>(r.graceful_closes)},
+         {"aborted_closes", static_cast<double>(r.aborted_closes)},
+         {"no_port_skips", static_cast<double>(r.no_port_skips)},
+         {"stuck_connections", static_cast<double>(r.stuck_connections)},
+         {"setup_ms_p50", setup.p50},
+         {"setup_ms_p90", setup.p90},
+         {"setup_ms_p99", setup.p99},
+         {"setup_ms_max", setup.max},
+         {"backlog_overflow_drops",
+          static_cast<double>(r.backlog.overflow_drops)},
+         {"backlog_overflow_rsts",
+          static_cast<double>(r.backlog.overflow_rsts)},
+         {"backlog_peak_occupancy",
+          static_cast<double>(r.backlog.peak_occupancy)},
+         {"port_exhaustion_episodes",
+          static_cast<double>(r.ports.exhaustion_episodes)},
+         {"port_timewait_reclaims",
+          static_cast<double>(r.ports.timewait_reclaims)},
+         {"syn_retx", static_cast<double>(r.syn_retx)},
+         {"fin_retx", static_cast<double>(r.fin_retx)},
+         {"rst_sent", static_cast<double>(r.rst_sent)},
+         {"challenge_acks", static_cast<double>(r.challenge_acks)},
+         {"ctrl_fault_losses",
+          static_cast<double>(r.bottleneck_faults.ctrl_losses)},
+         {"invariant_checkpoints",
+          static_cast<double>(r.invariant_checkpoints)},
+         {"invariant_violations",
+          static_cast<double>(r.invariant_violations)},
+         {"ev_syn_retx", static_cast<double>(ev[obs::EventKind::kSynRetx])},
+         {"ev_backlog_drop",
+          static_cast<double>(ev[obs::EventKind::kBacklogDrop])},
+         {"ev_rst", static_cast<double>(ev[obs::EventKind::kRstSent])},
+         {"episodes_rto_sync", static_cast<double>(ep_rto)},
+         {"episodes_backlog_saturation", static_cast<double>(ep_backlog)},
+         {"episodes_throughput_collapse", static_cast<double>(ep_collapse)},
+         {"episodes_diagnosed",
+          static_cast<double>(ep_rto + ep_backlog + ep_collapse)}});
   }
   table.print();
   std::printf("\n");
 
-  bench::finish_report(report);
   std::printf(
       "expected shape: the clean storm establishes everything with zero\n"
       "retransmissions; tiny backlogs degrade (drop -> SYN retries, rst ->\n"
       "fast aborts) without wedging; a dry port range skips arrivals instead\n"
       "of deadlocking; lossy control planes only stretch the setup CDF.\n");
+  bench::finish_report(report);
 
   if (!failures.empty() || total_violations > 0 || total_stuck > 0) {
     std::fprintf(stderr,

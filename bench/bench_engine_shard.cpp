@@ -10,10 +10,10 @@
 // cell of each topology and fails the binary (non-zero exit) if any result
 // metric differs between repetitions.
 //
-// Numbers are only meaningful relative to `hw_threads` (reported in the
-// JSON): on a single-core host every width runs at serial speed minus
+// Numbers are only meaningful relative to `hw_threads` (in the report
+// header): on a single-core host every width runs at serial speed minus
 // barrier overhead, and the curve flattens by construction. CI runs this
-// on multi-core runners; see BENCH_engine_shard.json.
+// on multi-core runners; see REPORT_engine_shard.json.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -138,50 +138,38 @@ void print_curve(const char* title, const std::vector<Cell>& cells,
   }
 }
 
-// One report row per cell, with per-shard stall/dispatch columns so the
-// barrier behavior is auditable from REPORT_engine_shard.json.
+// Two report entries per cell. The "rows" entry holds what the run
+// computed: dispatch counts, window plan and the scenario metric, all
+// identical across repeated runs at one width. The "perf" entry holds the
+// wall-clock side: events/s, speedup and per-shard barrier stall.
 void report_curve(obs::RunReport& report, const std::string& prefix,
-                  const std::vector<Cell>& cells) {
-  for (const auto& c : cells) {
-    std::vector<std::pair<std::string, double>> row{
-        {"shards", static_cast<double>(c.shards)},
-        {"events_per_sec", c.events_per_sec},
-        {"windows", static_cast<double>(c.windows)},
-        {"windows_skipped", static_cast<double>(c.windows_skipped)},
-        {"events_imbalance", c.events_imbalance},
-        {"stall_fraction", c.stall_fraction()},
-    };
-    for (std::size_t i = 0; i < c.shard_stall_s.size(); ++i) {
-      row.emplace_back("stall_s_" + std::to_string(i), c.shard_stall_s[i]);
-      row.emplace_back("events_" + std::to_string(i),
-                       static_cast<double>(c.shard_events[i]));
-    }
-    report.add_row(prefix + "_matrix_shards_" + std::to_string(c.shards),
-                   std::move(row));
-  }
-}
-
-void json_curve(bench::BenchJson& json, const std::string& prefix,
-                const std::vector<Cell>& cells, double sim_seconds,
-                const char* act_name, unsigned hw) {
+                  const std::vector<Cell>& cells, double sim_seconds,
+                  const char* act_name) {
   const double serial_eps = cells.front().events_per_sec;
   for (const auto& c : cells) {
-    json.add(prefix + "_matrix_shards_" + std::to_string(c.shards),
-             c.events_per_sec,
-             {{"shards", static_cast<double>(c.shards)},
-              {"events", static_cast<double>(c.events)},
-              {"run_wall_s", c.run_wall_s},
-              {"speedup_vs_serial",
-               serial_eps > 0.0 ? c.events_per_sec / serial_eps : 0.0},
-              {act_name, c.act_ms},
-              {"windows", static_cast<double>(c.windows)},
-              {"windows_skipped", static_cast<double>(c.windows_skipped)},
-              {"windows_per_sim_s",
-               sim_seconds > 0.0 ? static_cast<double>(c.windows) / sim_seconds
-                                 : 0.0},
-              {"stall_fraction", c.stall_fraction()},
-              {"events_imbalance", c.events_imbalance},
-              {"hw_threads", static_cast<double>(hw)}});
+    const std::string scenario = prefix + "_matrix_shards_" + std::to_string(c.shards);
+    std::vector<std::pair<std::string, double>> row{
+        {"shards", static_cast<double>(c.shards)},
+        {"events", static_cast<double>(c.events)},
+        {act_name, c.act_ms},
+        {"windows", static_cast<double>(c.windows)},
+        {"windows_skipped", static_cast<double>(c.windows_skipped)},
+        {"windows_per_sim_s",
+         sim_seconds > 0.0 ? static_cast<double>(c.windows) / sim_seconds : 0.0},
+        {"events_imbalance", c.events_imbalance},
+    };
+    std::vector<std::pair<std::string, double>> perf{
+        {"run_wall_s", c.run_wall_s},
+        {"speedup_vs_serial", serial_eps > 0.0 ? c.events_per_sec / serial_eps : 0.0},
+        {"stall_fraction", c.stall_fraction()},
+    };
+    for (std::size_t i = 0; i < c.shard_events.size(); ++i) {
+      row.emplace_back("events_" + std::to_string(i),
+                       static_cast<double>(c.shard_events[i]));
+      perf.emplace_back("stall_s_" + std::to_string(i), c.shard_stall_s[i]);
+    }
+    report.add_row(scenario, std::move(row));
+    report.add_perf(scenario, c.events_per_sec, std::move(perf));
   }
 }
 
@@ -197,7 +185,6 @@ int main() {
               hw <= 1 ? "  (single core: expect a flat curve)" : "");
 
   const std::vector<int> widths{1, 2, 4, 8};
-  bench::BenchJson json{"engine_shard"};
   obs::RunReport report{"engine_shard"};
 
   // --- fig08-scale two-tier incast ---
@@ -213,8 +200,7 @@ int main() {
   print_curve("fig08-scale two-tier (1050 servers full / 420 quick):", curve08,
               sim_s08);
   std::printf("\n");
-  json_curve(json, "fig08_scale", curve08, sim_s08, "spt_act_ms", hw);
-  report_curve(report, "fig08_scale", curve08);
+  report_curve(report, "fig08_scale", curve08, sim_s08, "spt_act_ms");
 
   // --- fig12-scale fat-tree ---
   auto run12 = [quick](int shards) {
@@ -228,9 +214,7 @@ int main() {
   }
   print_curve("fig12-scale fat-tree (k=8 full / k=4 quick):", curve12, sim_s12);
   std::printf("\n");
-  json_curve(json, "fattree_scale", curve12, sim_s12, "mean_completion_ms", hw);
-  report_curve(report, "fattree_scale", curve12);
-  bench::finish_report(report);
+  report_curve(report, "fattree_scale", curve12, sim_s12, "mean_completion_ms");
 
   // --- determinism self-check at the widest sharded width ---
   std::printf("determinism self-check (8 shards, two repetitions)... ");
@@ -240,5 +224,6 @@ int main() {
       determinism_check<exp::FattreeResult>(
           "fattree", 8, run12, &exp::FattreeResult::mean_completion_ms);
   std::printf("%s\n", ok ? "ok" : "FAILED");
+  bench::finish_report(report);
   return ok ? 0 : 1;
 }

@@ -42,13 +42,10 @@ int main() {
   const auto results = run_large_scale_batch(cfgs);
   const double batch_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  // Machine-readable perf record for CI artifacts; stdout is unchanged.
-  bench::BenchJson json{"fig08_large_scale"};
-  json.add("large_scale_batch", static_cast<double>(cfgs.size()) / batch_wall,
-           {{"runs", static_cast<double>(cfgs.size())},
-            {"wall_seconds", batch_wall}});
-
   obs::RunReport report{"fig08_large_scale"};
+  report.add_perf("large_scale_batch", static_cast<double>(cfgs.size()) / batch_wall,
+                  {{"runs", static_cast<double>(cfgs.size())},
+                   {"wall_seconds", batch_wall}});
   bench::merge_telemetry(report, results);
   report.add_scalar("runs", static_cast<double>(cfgs.size()));
 
@@ -86,9 +83,9 @@ int main() {
     table.print();
     std::printf("\n");
   }
-  bench::finish_report(report);
   std::printf(
       "paper shape: TRIM reduces SPT ACT by up to 80%%; beyond 840 servers\n"
       "the benefit remains about 50%%.\n");
+  bench::finish_report(report);
   return 0;
 }

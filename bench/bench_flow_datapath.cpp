@@ -5,7 +5,7 @@
 // as persistent-connection runs get longer and wider.
 //
 // Hand-rolled timing (not google-benchmark) so every scenario lands in
-// BENCH_flow_datapath.json via bench::BenchJson, with peak RSS attached.
+// the "perf" section of REPORT_flow_datapath.json, with peak RSS attached.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -55,7 +55,7 @@ struct AckSink : net::Agent {
 // ACK-processing throughput: one persistent connection carries a long
 // chain of messages with non-MSS tails (the segment->byte mapping's worst
 // case); reports cumulatively-acked segments per wall second.
-void bench_ack_processing(bench::BenchJson& json) {
+void bench_ack_processing(obs::RunReport& report) {
   HostPair net;
   tcp::TcpReceiver recv{&net.b, 1, net.a.id()};
   tcp::TcpConfig cfg;
@@ -80,16 +80,16 @@ void bench_ack_processing(bench::BenchJson& json) {
   const double acked = static_cast<double>(sender.stats().acked_segments);
   std::printf("ack_processing:   %10.0f acked segs/s  (%d msgs, state %zu B)\n",
               acked / wall, kMessages, sender.datapath_state_bytes());
-  json.add("ack_processing", acked / wall,
-           {{"messages", static_cast<double>(kMessages)},
-            {"segments_acked", acked},
-            {"sender_state_bytes", static_cast<double>(sender.datapath_state_bytes())}});
+  report.add_perf("ack_processing", acked / wall,
+                  {{"messages", static_cast<double>(kMessages)},
+                   {"segments_acked", acked},
+                   {"sender_state_bytes", static_cast<double>(sender.datapath_state_bytes())}});
 }
 
 // Sender accounting memory: one flow streams ~1 GB as LPT-style 512 KB
 // messages (at most one outstanding). Per-flow accounting bytes must stay
 // flat as the stream grows — this is the O(outstanding messages) claim.
-void bench_sender_memory(bench::BenchJson& json) {
+void bench_sender_memory(obs::RunReport& report) {
   HostPair net;
   tcp::TcpReceiver recv{&net.b, 1, net.a.id()};
   tcp::TcpConfig cfg;
@@ -117,17 +117,17 @@ void bench_sender_memory(bench::BenchJson& json) {
   const auto state_end = sender.datapath_state_bytes();
   std::printf("sender_memory:    %10.1f MB/s          (%.0f MB stream, state %zu B mid, %zu B end, %.2f B/MB)\n",
               mb / wall, mb, state_mid, state_end, static_cast<double>(state_end) / mb);
-  json.add("sender_memory", mb / wall,
-           {{"stream_mb", mb},
-            {"state_bytes_mid", static_cast<double>(state_mid)},
-            {"state_bytes_end", static_cast<double>(state_end)},
-            {"state_bytes_per_mb", static_cast<double>(state_end) / mb}});
+  report.add_perf("sender_memory", mb / wall,
+                  {{"stream_mb", mb},
+                   {"state_bytes_mid", static_cast<double>(state_mid)},
+                   {"state_bytes_end", static_cast<double>(state_end)},
+                   {"state_bytes_per_mb", static_cast<double>(state_end) / mb}});
 }
 
 // Reassembly churn: the receiver absorbs rounds of a 64-segment window
 // arriving entirely out of order (head last), the drain pattern loss
 // recovery produces. Reports data packets absorbed per wall second.
-void bench_reassembly(bench::BenchJson& json) {
+void bench_reassembly(obs::RunReport& report) {
   HostPair net;
   AckSink sink;
   net.a.register_agent(1, &sink);
@@ -161,9 +161,9 @@ void bench_reassembly(bench::BenchJson& json) {
   const double pkts = static_cast<double>(recv.received_data_packets());
   std::printf("reassembly:       %10.0f ooo pkts/s    (%d rounds of %llu)\n",
               pkts / wall, kRounds, static_cast<unsigned long long>(kWindow));
-  json.add("reassembly", pkts / wall,
-           {{"rounds", static_cast<double>(kRounds)},
-            {"window_segments", static_cast<double>(kWindow)}});
+  report.add_perf("reassembly", pkts / wall,
+                  {{"rounds", static_cast<double>(kRounds)},
+                   {"window_segments", static_cast<double>(kWindow)}});
   net.a.unregister_agent(1);
 }
 
@@ -171,7 +171,7 @@ void bench_reassembly(bench::BenchJson& json) {
 // 4200 concurrent flows through one front end. The scale target for the
 // O(1) data path: wall time and peak RSS are the before/after numbers in
 // docs/MODELING.md.
-void bench_large_scale_4x(bench::BenchJson& json) {
+void bench_large_scale_4x(obs::RunReport& report) {
   exp::LargeScaleConfig cfg;
   cfg.protocol = tcp::Protocol::kReno;
   cfg.num_switches = 100;  // 4200 servers vs the paper's 1050 max
@@ -184,13 +184,13 @@ void bench_large_scale_4x(bench::BenchJson& json) {
   std::printf("large_scale_4x:   %10.1f s wall        (%d/%d SPTs, ACT %.2f ms, %llu drops, peak RSS %.1f MB)\n",
               wall, r.completed_spts, r.total_spts, r.spt_act_ms,
               static_cast<unsigned long long>(r.drops),
-              bench::peak_rss_bytes() / (1024.0 * 1024.0));
-  json.add("large_scale_4x", static_cast<double>(r.completed_spts) / wall,
-           {{"servers", 4200.0},
-            {"wall_seconds", wall},
-            {"completed_spts", static_cast<double>(r.completed_spts)},
-            {"spt_act_ms", r.spt_act_ms},
-            {"drops", static_cast<double>(r.drops)}});
+              obs::peak_rss_bytes() / (1024.0 * 1024.0));
+  report.add_perf("large_scale_4x", static_cast<double>(r.completed_spts) / wall,
+                  {{"servers", 4200.0},
+                   {"wall_seconds", wall},
+                   {"completed_spts", static_cast<double>(r.completed_spts)},
+                   {"spt_act_ms", r.spt_act_ms},
+                   {"drops", static_cast<double>(r.drops)}});
 }
 
 }  // namespace
@@ -198,13 +198,13 @@ void bench_large_scale_4x(bench::BenchJson& json) {
 int main() {
   exp::print_banner("Flow data-path microbench — ACK throughput, state bytes, reassembly",
                     "engine scaling (no paper figure)");
-  bench::BenchJson json{"flow_datapath"};
-  bench_ack_processing(json);
-  bench_sender_memory(json);
-  bench_reassembly(json);
-  bench_large_scale_4x(json);
-  json.write();
-  std::printf("\nwrote BENCH_flow_datapath.json (peak RSS %.1f MB)\n",
-              bench::peak_rss_bytes() / (1024.0 * 1024.0));
+  obs::RunReport report{"flow_datapath"};
+  bench_ack_processing(report);
+  bench_sender_memory(report);
+  bench_reassembly(report);
+  bench_large_scale_4x(report);
+  bench::finish_report(report);
+  std::printf("\nwrote REPORT_flow_datapath.json (peak RSS %.1f MB)\n",
+              obs::peak_rss_bytes() / (1024.0 * 1024.0));
   return 0;
 }

@@ -1,5 +1,6 @@
 // Memory-architecture benchmark: the numbers the arena/SoA/ring overhaul
-// is gated on. Reports three scenarios into BENCH_memory.json:
+// is gated on. Reports three scenarios into the "perf" section of
+// REPORT_memory.json:
 //
 //   - steady_state: events/s over a warm many-to-one window, with the
 //     measured allocation rate (allocs and bytes per million events).
@@ -14,7 +15,7 @@
 //     here with the allocation hook linked to confirm the hook's off-gate
 //     cost is negligible.
 //
-// Peak RSS rides along in the JSON header (BenchJson always writes it);
+// Peak RSS rides along in the report header;
 // scripts/check_perf_regression.py gates events/s and RSS trajectory.
 #include <chrono>
 #include <cstdio>
@@ -39,7 +40,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // The zero-alloc regression test's scenario, sized up and timed: four
 // long-running Reno flows into one front end through a deep buffer,
 // measured strictly inside the transfers.
-void bench_steady_state(bench::BenchJson& json) {
+void bench_steady_state(obs::RunReport& report) {
   exp::World world;
   topo::ManyToOneConfig cfg;
   cfg.num_servers = 4;
@@ -71,16 +72,16 @@ void bench_steady_state(bench::BenchJson& json) {
   std::printf("steady_state: %.3g events/s, %.4g allocs/Mevent, %.4g bytes/Mevent\n",
               events / wall, static_cast<double>(totals.allocs) * per_m,
               static_cast<double>(totals.bytes) * per_m);
-  json.add("memory_steady_state", events / wall,
-           {{"allocs_per_mevent", static_cast<double>(totals.allocs) * per_m},
-            {"alloc_bytes_per_mevent", static_cast<double>(totals.bytes) * per_m},
-            {"window_events", events}});
+  report.add_perf("memory_steady_state", events / wall,
+                  {{"allocs_per_mevent", static_cast<double>(totals.allocs) * per_m},
+                   {"alloc_bytes_per_mevent", static_cast<double>(totals.bytes) * per_m},
+                   {"window_events", events}});
 }
 
 // Endpoint churn: repeatedly build and tear down a wave of flows against
 // one world. Measures the allocator-facing cost of connection setup now
 // that endpoints are arena-backed and hot state is slot-recycled.
-void bench_flow_churn(bench::BenchJson& json) {
+void bench_flow_churn(obs::RunReport& report) {
   exp::World world;
   topo::ManyToOneConfig cfg;
   cfg.num_servers = 8;
@@ -107,15 +108,15 @@ void bench_flow_churn(bench::BenchJson& json) {
       m != nullptr ? static_cast<double>(m->arena.bytes_allocated()) : 0.0;
   std::printf("flow_churn: %.3g endpoints/s, arena %.3g bytes resident\n",
               static_cast<double>(built) * 2 / wall, arena_bytes);
-  json.add("memory_flow_churn", static_cast<double>(built) * 2 / wall,
-           {{"arena_resident_bytes", arena_bytes}});
+  report.add_perf("memory_flow_churn", static_cast<double>(built) * 2 / wall,
+                  {{"arena_resident_bytes", arena_bytes}});
 }
 
 // The gate's end-to-end number: the paper's smallest Fig. 8 point (5 ToRs,
 // 210 servers) run with the hook linked but the counting gate off — the
 // off-gate hook cost is one relaxed atomic load per allocation, and there
 // are no steady-state allocations left to load it on.
-void bench_large_scale_quick(bench::BenchJson& json) {
+void bench_large_scale_quick(obs::RunReport& report) {
   exp::LargeScaleConfig cfg;
   cfg.protocol = tcp::Protocol::kReno;
   const auto t0 = std::chrono::steady_clock::now();
@@ -124,9 +125,9 @@ void bench_large_scale_quick(bench::BenchJson& json) {
   const auto events = static_cast<double>(result.events_dispatched);
   std::printf("large_scale_quick: %.3g events/s (%.3g events, %.2fs, RSS %.1f MB)\n",
               events / wall, events, wall,
-              bench::peak_rss_bytes() / (1024.0 * 1024.0));
-  json.add("memory_large_scale_quick", events / wall,
-           {{"events", events}, {"rss_bytes", bench::peak_rss_bytes()}});
+              obs::peak_rss_bytes() / (1024.0 * 1024.0));
+  report.add_perf("memory_large_scale_quick", events / wall,
+                  {{"events", events}, {"rss_bytes", obs::peak_rss_bytes()}});
 }
 
 }  // namespace
@@ -137,9 +138,10 @@ int main() {
                  "bench_memory: allocation hook not linked; rates would lie\n");
     return 1;
   }
-  bench::BenchJson json{"memory"};
-  bench_steady_state(json);
-  bench_flow_churn(json);
-  bench_large_scale_quick(json);
+  obs::RunReport report{"memory"};
+  bench_steady_state(report);
+  bench_flow_churn(report);
+  bench_large_scale_quick(report);
+  bench::finish_report(report);
   return 0;
 }

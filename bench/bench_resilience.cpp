@@ -143,12 +143,10 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   exp::report_job_failures("bench_resilience", failures);
 
-  bench::BenchJson json{"resilience"};
-  json.add("resilience_batch", static_cast<double>(cfgs.size()) / batch_wall,
-           {{"runs", static_cast<double>(cfgs.size())},
-            {"wall_seconds", batch_wall}});
-
   obs::RunReport report{"resilience"};
+  report.add_perf("resilience_batch", static_cast<double>(cfgs.size()) / batch_wall,
+                  {{"runs", static_cast<double>(cfgs.size())},
+                   {"wall_seconds", batch_wall}});
   bench::merge_telemetry(report, results);
   for (const auto& r : results) {
     for (const auto& fs : r.flow_summaries) report.add_flow(fs);
@@ -181,58 +179,49 @@ int main() {
           obs::find_histogram(r.telemetry.metrics, "conn.setup_ms");
       const obs::Percentiles setup =
           setup_h != nullptr ? obs::percentiles(*setup_h) : obs::Percentiles{};
-      json.add(profile.name + "/" + tcp::to_string(protocol), 0.0,
-               {{"goodput_mbps", r.goodput_mbps},
-                {"timeouts", static_cast<double>(r.total_timeouts)},
-                {"messages_completed", static_cast<double>(r.messages_completed)},
-                {"messages_total", static_cast<double>(r.messages_total)},
-                {"queue_drops", static_cast<double>(r.queue_drops)},
-                {"fault_drops",
-                 static_cast<double>(r.bottleneck_faults.injected_drops())},
-                {"invariant_checkpoints",
-                 static_cast<double>(r.invariant_checkpoints)},
-                {"invariant_violations",
-                 static_cast<double>(r.invariant_violations)},
-                {"ev_fault_loss",
-                 static_cast<double>(ev[obs::EventKind::kFaultLoss])},
-                {"ev_fault_reorder",
-                 static_cast<double>(ev[obs::EventKind::kFaultReorder])},
-                {"ev_fault_link_down",
-                 static_cast<double>(ev[obs::EventKind::kFaultLinkDown])},
-                {"ev_rto_fired",
-                 static_cast<double>(ev[obs::EventKind::kRtoFired])},
-                {"ev_fast_retransmit",
-                 static_cast<double>(ev[obs::EventKind::kFastRetransmit])},
-                {"ev_probe_enter",
-                 static_cast<double>(ev[obs::EventKind::kTrimProbeEnter])},
-                {"ev_queue_drop_episodes",
-                 static_cast<double>(ev[obs::EventKind::kQueueDropEpisodeStart])},
-                // Lifecycle counts — nonzero only on the churn profiles.
-                {"ev_syn_retx", static_cast<double>(ev[obs::EventKind::kSynRetx])},
-                {"ev_backlog_drop",
-                 static_cast<double>(ev[obs::EventKind::kBacklogDrop])},
-                {"ev_rst", static_cast<double>(ev[obs::EventKind::kRstSent])},
-                {"connections_opened",
-                 static_cast<double>(r.connections_opened)},
-                {"graceful_closes", static_cast<double>(r.graceful_closes)},
-                {"aborted_closes", static_cast<double>(r.aborted_closes)},
-                {"backlog_overflow_drops",
-                 static_cast<double>(r.churn_backlog.overflow_drops)},
-                // Churn setup latency from the scenario-recorded histogram
-                // (ms), via the shared percentile helper.
-                {"setup_ms_p50", setup.p50},
-                {"setup_ms_p99", setup.p99},
-                {"setup_ms_max", setup.max},
-                {"episodes_diagnosed",
-                 static_cast<double>(r.telemetry.episodes.size())}});
       report.add_row(
           profile.name + "/" + tcp::to_string(protocol),
           {{"goodput_mbps", r.goodput_mbps},
            {"timeouts", static_cast<double>(r.total_timeouts)},
-           {"ev_fault_loss", static_cast<double>(ev[obs::EventKind::kFaultLoss])},
-           {"ev_rto_fired", static_cast<double>(ev[obs::EventKind::kRtoFired])},
+           {"messages_completed", static_cast<double>(r.messages_completed)},
+           {"messages_total", static_cast<double>(r.messages_total)},
+           {"queue_drops", static_cast<double>(r.queue_drops)},
+           {"fault_drops",
+            static_cast<double>(r.bottleneck_faults.injected_drops())},
+           {"invariant_checkpoints",
+            static_cast<double>(r.invariant_checkpoints)},
+           {"invariant_violations",
+            static_cast<double>(r.invariant_violations)},
+           {"ev_fault_loss",
+            static_cast<double>(ev[obs::EventKind::kFaultLoss])},
+           {"ev_fault_reorder",
+            static_cast<double>(ev[obs::EventKind::kFaultReorder])},
+           {"ev_fault_link_down",
+            static_cast<double>(ev[obs::EventKind::kFaultLinkDown])},
+           {"ev_rto_fired",
+            static_cast<double>(ev[obs::EventKind::kRtoFired])},
+           {"ev_fast_retransmit",
+            static_cast<double>(ev[obs::EventKind::kFastRetransmit])},
            {"ev_probe_enter",
             static_cast<double>(ev[obs::EventKind::kTrimProbeEnter])},
+           {"ev_queue_drop_episodes",
+            static_cast<double>(ev[obs::EventKind::kQueueDropEpisodeStart])},
+           // Lifecycle counts — nonzero only on the churn profiles.
+           {"ev_syn_retx", static_cast<double>(ev[obs::EventKind::kSynRetx])},
+           {"ev_backlog_drop",
+            static_cast<double>(ev[obs::EventKind::kBacklogDrop])},
+           {"ev_rst", static_cast<double>(ev[obs::EventKind::kRstSent])},
+           {"connections_opened",
+            static_cast<double>(r.connections_opened)},
+           {"graceful_closes", static_cast<double>(r.graceful_closes)},
+           {"aborted_closes", static_cast<double>(r.aborted_closes)},
+           {"backlog_overflow_drops",
+            static_cast<double>(r.churn_backlog.overflow_drops)},
+           // Churn setup latency from the scenario-recorded histogram
+           // (ms), via the shared percentile helper.
+           {"setup_ms_p50", setup.p50},
+           {"setup_ms_p99", setup.p99},
+           {"setup_ms_max", setup.max},
            {"episodes_diagnosed",
             static_cast<double>(r.telemetry.episodes.size())}});
     }
@@ -240,11 +229,11 @@ int main() {
     std::printf("\n");
   }
 
-  bench::finish_report(report);
   std::printf(
       "expected shape: TRIM matches or beats Reno/DCTCP goodput on every\n"
       "profile and times out less under loss (probe-based resumption keeps\n"
       "cwnd >= 2 instead of collapsing to slow start).\n");
+  bench::finish_report(report);
 
   if (!failures.empty() || total_violations > 0) {
     std::fprintf(stderr,

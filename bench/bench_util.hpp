@@ -1,14 +1,10 @@
 // Helpers shared by the figure-reproduction binaries.
 #pragma once
 
-#include <sys/resource.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "exp/experiment.hpp"
 #include "obs/run_report.hpp"
@@ -16,68 +12,6 @@
 #include "stats/time_series.hpp"
 
 namespace trim::bench {
-
-// Peak resident set size of this process so far, in bytes (Linux
-// ru_maxrss is reported in kilobytes).
-inline double peak_rss_bytes() {
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) * 1024.0;
-}
-
-// Machine-readable bench results: collects (scenario, items/sec, metrics)
-// rows and writes them as `BENCH_<name>.json` so the perf trajectory can
-// be tracked across PRs (CI uploads these as artifacts). The file lands in
-// $BENCH_JSON_DIR when set, else `bench_out/` under the working directory
-// (created on demand) so generated artifacts never mix with tracked
-// sources. Human-readable stdout output is unaffected.
-class BenchJson {
- public:
-  explicit BenchJson(std::string name) : name_{std::move(name)} {}
-  ~BenchJson() { write(); }
-  BenchJson(const BenchJson&) = delete;
-  BenchJson& operator=(const BenchJson&) = delete;
-
-  void add(std::string scenario, double items_per_sec,
-           std::vector<std::pair<std::string, double>> metrics = {}) {
-    rows_.push_back({std::move(scenario), items_per_sec, std::move(metrics)});
-  }
-
-  void write() {
-    if (written_) return;
-    written_ = true;
-    std::string dir = "bench_out";
-    if (const char* env = std::getenv("BENCH_JSON_DIR")) dir = env;
-    ::mkdir(dir.c_str(), 0755);  // EEXIST is fine; open errors handled below
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return;  // benches must not fail on read-only dirs
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"peak_rss_bytes\": %.0f,\n",
-                 name_.c_str(), peak_rss_bytes());
-    std::fprintf(f, "  \"results\": [\n");
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const auto& r = rows_[i];
-      std::fprintf(f, "    {\"scenario\": \"%s\", \"items_per_sec\": %.6g",
-                   r.scenario.c_str(), r.items_per_sec);
-      for (const auto& [k, v] : r.metrics) {
-        std::fprintf(f, ", \"%s\": %.6g", k.c_str(), v);
-      }
-      std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
-
- private:
-  struct Row {
-    std::string scenario;
-    double items_per_sec;
-    std::vector<std::pair<std::string, double>> metrics;
-  };
-  std::string name_;
-  std::vector<Row> rows_;
-  bool written_ = false;
-};
 
 // Render a (downsampled) time series as compact "t=..s v=.." rows — the
 // textual stand-in for the paper's line plots.
@@ -118,8 +52,9 @@ inline void merge_telemetry(obs::RunReport& report, const ResultRange& results) 
   report.set_telemetry(std::move(tele));
 }
 
-// Attach the global sweep profile (the only nondeterministic section) and
-// write REPORT_<name>.json next to the BENCH_*.json files.
+// Attach the global sweep profile and write REPORT_<name>.json. Benches
+// call this once, at the end of main, so the report's peak RSS covers the
+// whole run.
 inline std::string finish_report(obs::RunReport& report) {
   report.set_profile(obs::sweep_profiler().snapshot());
   return report.write();

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Gate engine throughput (and memory) against the last main-branch baseline.
 
-Compares a freshly produced BENCH_*.json against a baseline copy restored
+Compares a freshly produced REPORT_*.json against a baseline copy restored
 from the CI cache (written by the last successful run on main):
 
-  - events/s: each gated scenario's `items_per_sec` must not drop more
-    than --threshold below the baseline.
+  - events/s: each gated scenario's `items_per_sec` (a row of the report's
+    "perf" section) must not drop more than --threshold below the baseline.
   - RSS: the file-level `peak_rss_bytes` must not grow more than
     --rss-threshold above the baseline (0 disables the gate).
 
@@ -39,8 +39,8 @@ def load_doc(path):
         return json.load(f)
 
 
-def results_by_scenario(doc):
-    return {row["scenario"]: row for row in doc.get("results", [])}
+def perf_by_scenario(doc):
+    return {row["scenario"]: row for row in doc.get("perf", [])}
 
 
 def gate_throughput(current, baseline, prefix, threshold):
@@ -108,7 +108,7 @@ def update_history(history_dir, current_path, prefix, keep):
             doc = load_doc(os.path.join(history_dir, fname))
         except (json.JSONDecodeError, OSError):
             continue
-        rows = results_by_scenario(doc)
+        rows = perf_by_scenario(doc)
         gated = sorted(s for s in rows if s.startswith(prefix))
         rates = ", ".join(f"{s}={rows[s]['items_per_sec']:.3g}" for s in gated)
         rss = doc.get("peak_rss_bytes", 0)
@@ -118,9 +118,9 @@ def update_history(history_dir, current_path, prefix, keep):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--current", required=True,
-                        help="BENCH_*.json produced by this run")
+                        help="REPORT_*.json produced by this run")
     parser.add_argument("--baseline", required=True,
-                        help="baseline BENCH_*.json from the cache (may be absent)")
+                        help="baseline REPORT_*.json from the cache (may be absent)")
     parser.add_argument("--scenario-prefix", default="",
                         help="only gate scenarios whose name starts with this")
     parser.add_argument("--threshold", type=float, default=0.10,
@@ -139,7 +139,7 @@ def main():
         print(f"error: current results not found: {args.current}")
         return 2
     current_doc = load_doc(args.current)
-    current = results_by_scenario(current_doc)
+    current = perf_by_scenario(current_doc)
 
     failed = False
     if not os.path.exists(args.baseline):
@@ -147,7 +147,7 @@ def main():
     else:
         try:
             baseline_doc = load_doc(args.baseline)
-            baseline = results_by_scenario(baseline_doc)
+            baseline = perf_by_scenario(baseline_doc)
         except (json.JSONDecodeError, KeyError) as err:
             print(f"baseline unreadable ({err}); skipping the gate")
             baseline_doc, baseline = None, None

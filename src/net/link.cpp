@@ -5,7 +5,6 @@
 
 #include "fault/fault_injector.hpp"
 #include "net/node.hpp"
-#include "net/trace_tap.hpp"
 #include "obs/events.hpp"
 #include "sim/config_error.hpp"
 #include "sim/sharded_engine.hpp"
@@ -50,30 +49,12 @@ void Link::set_cross_shard(sim::ShardedEngine* engine, int src_shard, int dst_sh
   dst_shard_ = dst_shard;
 }
 
-void Link::set_tap(TraceTap* tap) {
-  tap_ = tap;
-  if (tap != nullptr) {
-    queue_->set_drop_callback([this](const Packet& p) {
-      tap_->record(PacketEvent::kDropped, p, sim_->now());
-    });
-  } else {
-    queue_->set_drop_callback({});
-  }
-}
-
 void Link::send(Packet p) {
   // Fault ingress: link-down and random loss remove the packet before the
   // egress queue ever sees it (a cut in front of the interface). The
   // injector counts these drops in its own stats.
-  if (fault_ != nullptr && !fault_->offer(p)) {
-    if (tap_ != nullptr) tap_->record(PacketEvent::kDropped, p, sim_->now());
-    return;
-  }
-  // Drops are recorded via the queue's drop callback (set_tap), so the
-  // accept path never copies the packet; on success the tap reads the
-  // header back from the queue's tail.
+  if (fault_ != nullptr && !fault_->offer(p)) return;
   if (!queue_->enqueue(std::move(p))) return;
-  if (tap_ != nullptr) tap_->record(PacketEvent::kEnqueued, queue_->tail(), sim_->now());
   if (!busy_ && queue_->dequeue_into(in_flight_)) {
     busy_ = true;
     begin_transmission();
@@ -98,7 +79,6 @@ void Link::drain() {
   bytes_delivered_ += p.size_bytes();
   ++packets_delivered_;
   if (meter_ != nullptr) meter_->add(sim_->now(), p.size_bytes());
-  if (tap_ != nullptr) tap_->record(PacketEvent::kDelivered, p, sim_->now());
 
   assert(peer_ != nullptr && "Link::send before set_peer");
 
@@ -113,11 +93,10 @@ void Link::drain() {
 
   if (duplicate) {
     // The clone consumes no extra serialization time (a dup on the wire),
-    // but it is a real delivery: counters and the tap both see it.
+    // but it is a real delivery: the counters see it.
     bytes_delivered_ += p.size_bytes();
     ++packets_delivered_;
     if (meter_ != nullptr) meter_->add(sim_->now(), p.size_bytes());
-    if (tap_ != nullptr) tap_->record(PacketEvent::kDelivered, p, sim_->now());
     Packet dup = p;
     auto arrive_dup = [this, p = std::move(dup)]() mutable {
       ++packets_arrived_;

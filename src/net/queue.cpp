@@ -62,7 +62,6 @@ void Queue::drop(const Packet& p) {
     }
     ++episode_drops_;
   }
-  if (on_drop_) on_drop_(p);
   record_occupancy();
 }
 

@@ -18,7 +18,6 @@
 
 #include "mem/ring_buffer.hpp"
 #include "net/packet.hpp"
-#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 #include "stats/time_series.hpp"
 
@@ -52,21 +51,13 @@ class Queue {
   std::uint64_t len_bytes() const { return bytes_; }
   bool empty() const { return fifo_.empty(); }
 
-  // Most recently enqueued packet (every implementation appends at the
-  // tail). Queue must not be empty. Lets observers read the packet just
-  // accepted by enqueue() without the caller keeping a copy.
-  const Packet& tail() const { return fifo_.back(); }
-
   const QueueStats& stats() const { return stats_; }
 
   // Optional instrumentation: occupancy trace (sampled on every enqueue /
-  // dequeue / drop) and a drop callback.
+  // dequeue / drop).
   void set_length_trace(stats::TimeSeries* trace, const sim::Simulator* clock) {
     trace_ = trace;
     clock_ = clock;
-  }
-  void set_drop_callback(sim::InlineFunction<void(const Packet&)> cb) {
-    on_drop_ = std::move(cb);
   }
 
   // Telemetry wiring (done by Link when it adopts the queue): `subject` is
@@ -92,7 +83,6 @@ class Queue {
   QueueStats stats_;
   stats::TimeSeries* trace_ = nullptr;
   const sim::Simulator* clock_ = nullptr;
-  sim::InlineFunction<void(const Packet&)> on_drop_;
 
   const sim::Simulator* obs_clock_ = nullptr;
   std::uint32_t obs_subject_ = 0;

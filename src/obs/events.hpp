@@ -1,8 +1,7 @@
-// The telemetry event vocabulary shared by the flight recorder
-// (obs/flight_recorder.hpp) and the link-level TraceTap JSONL export
-// (net/trace_tap.hpp): one fixed enum of structured event kinds, one
-// POD record layout, and one JSONL line format, so sender-side and
-// link-side traces can be merged on the time axis offline.
+// The telemetry event vocabulary of the flight recorder
+// (obs/flight_recorder.hpp): one fixed enum of structured event kinds, one
+// POD record layout, and one JSONL line format, so traces from different
+// components can be merged on the time axis offline.
 //
 // Every event is (time, kind, subject, a, b):
 //   subject — the emitting entity: the flow id for transport events, a
@@ -49,7 +48,10 @@ enum class EventKind : std::uint8_t {
   kFaultDuplicate,     // a = flow id, b = seq
   kFaultReorder,       // a = flow id, b = extra hold-back seconds
 
-  // Link packet path (TraceTap JSONL export shares this schema).
+  // Link packet path. No site emits these three. They stay because
+  // perfbench's digest hashes every EventCounts::by_kind slot in order:
+  // removing them would shift every later kind and change every
+  // reference digest.
   kLinkEnqueued,       // a = seq, b = payload bytes; subject = flow id
   kLinkDropped,
   kLinkDelivered,
@@ -130,8 +132,9 @@ constexpr std::uint32_t subject_id(std::string_view name) {
 
 // Appends one JSONL line:
 //   {"t":<sec>,"kind":"<name>","subject":<id>,"a":<a>,"b":<b>}\n
-// Shared by FlightRecorder::to_jsonl and TraceTap::to_jsonl so the two
-// streams interleave cleanly when sorted by "t".
+// The line format of FlightRecorder::to_jsonl (and so of the ring events
+// in TRIM_TRACE files): dumps from several recorders interleave cleanly
+// when sorted by "t".
 void append_event_jsonl(std::string& out, const RecordedEvent& e);
 
 }  // namespace trim::obs

@@ -28,7 +28,7 @@ void FlightRecorder::emit(sim::SimTime at, EventKind kind, std::uint32_t subject
     ring_[size_++] = {at, kind, subject, a, b};
     return;
   }
-  // Full: overwrite the oldest slot in place (same discipline as TraceTap).
+  // Full: overwrite the oldest slot in place.
   ring_[head_] = {at, kind, subject, a, b};
   head_ = (head_ + 1) % ring_.size();
 }

@@ -1,7 +1,6 @@
 // Flight recorder: a bounded binary ring of structured telemetry events.
 //
-// Generalizes TraceTap's ring design beyond links: any component holding a
-// Simulator* can emit (time, kind, subject, a, b) records through
+// Any component holding a Simulator* can emit (time, kind, subject, a, b) records through
 // obs::emit (obs/telemetry.hpp). Two cost tiers:
 //
 //   * per-kind event COUNTS are always maintained once a Telemetry bundle

@@ -1,22 +1,17 @@
 #include "obs/run_report.hpp"
 
-#include <sys/resource.h>
 #include <sys/stat.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <thread>
 
 #include "sim/logging.hpp"
 
 namespace trim::obs {
 
 namespace {
-
-double peak_rss_bytes() {
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) * 1024.0;  // ru_maxrss is in KiB
-}
 
 std::string num(double v) {
   char buf[48];
@@ -38,11 +33,25 @@ bool quick_env() {
 }  // namespace
 
 std::string report_output_dir() {
-  if (const char* env = std::getenv("REPORT_JSON_DIR")) return env;
   if (const char* env = std::getenv("BENCH_JSON_DIR")) return env;
-  // Default next to the BENCH_*.json artifacts: a gitignored output
-  // directory instead of the (possibly tracked) working directory.
+  // A gitignored output directory instead of the (possibly tracked)
+  // working directory.
   return "bench_out";
+}
+
+double peak_rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  double kib = 0.0;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kib = std::strtod(line + 6, nullptr);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib * 1024.0;
 }
 
 void RunReport::add_flow(FlowSummary flow) {
@@ -61,10 +70,12 @@ void RunReport::add_flow(FlowSummary flow) {
 
 std::string RunReport::to_json() const {
   std::string out = "{\n";
-  out += "  \"schema_version\": 1,\n";
+  out += "  \"schema_version\": 2,\n";
   out += "  \"report\": \"" + name_ + "\",\n";
   out += std::string{"  \"quick\": "} + (quick_env() ? "true" : "false") + ",\n";
   out += "  \"peak_rss_bytes\": " + num(peak_rss_bytes()) + ",\n";
+  out += "  \"hw_threads\": " +
+         num(static_cast<std::uint64_t>(std::thread::hardware_concurrency())) + ",\n";
 
   out += "  \"scalars\": {";
   for (std::size_t i = 0; i < scalars_.size(); ++i) {
@@ -108,17 +119,22 @@ std::string RunReport::to_json() const {
   }
   out += flows_.empty() ? "],\n" : "\n  ],\n";
 
-  out += "  \"rows\": [";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const auto& r = rows_[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"scenario\": \"" + r.scenario + "\"";
-    for (const auto& [k, v] : r.values) {
-      out += ", \"" + k + "\": " + num(v);
+  // "rows" and "perf" share one row shape: {"scenario": ..., key: value...}.
+  auto append_rows = [&out](const char* section, const std::vector<Row>& rows) {
+    out += std::string{"  \""} + section + "\": [";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto& r = rows[i];
+      out += i == 0 ? "\n" : ",\n";
+      out += "    {\"scenario\": \"" + r.scenario + "\"";
+      for (const auto& [k, v] : r.values) {
+        out += ", \"" + k + "\": " + num(v);
+      }
+      out += "}";
     }
-    out += "}";
-  }
-  out += rows_.empty() ? "],\n" : "\n  ],\n";
+    out += rows.empty() ? "],\n" : "\n  ],\n";
+  };
+  append_rows("rows", rows_);
+  append_rows("perf", perf_);
 
   out += "  \"profile\": [";
   for (std::size_t i = 0; i < profile_.size(); ++i) {

@@ -5,13 +5,14 @@
 //   - "events": nonzero flight-recorder counts by kind,
 //   - "flows": per-flow summaries (capped; see flows_truncated),
 //   - "rows": per-scenario result rows (sweep points),
-//   - "profile": wall-time phases from obs::Profiler — the only
-//     nondeterministic section, kept separate so report diffing across
-//     REPRO_JOBS widths can compare everything above it byte-for-byte.
+//   - "perf": wall-clock measurement rows {scenario, items_per_sec, ...},
+//   - "profile": wall-time phases from obs::Profiler.
+// "perf", "profile" and the header's peak_rss_bytes and hw_threads are the
+// only nondeterministic parts; everything else is byte-identical across
+// REPRO_JOBS widths and repeated runs, so reports diff cleanly once those
+// are set aside.
 //
-// The file lands in $REPORT_JSON_DIR when set, else $BENCH_JSON_DIR, else
-// the current directory — mirroring BENCH_<name>.json so CI uploads both
-// from one place.
+// The file lands in $BENCH_JSON_DIR when set, else bench_out/.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +61,18 @@ class RunReport {
   std::size_t flows_truncated() const { return flows_truncated_; }
 
   // One per-scenario row (a sweep point): a label plus key/value pairs.
+  // Deterministic results only; wall-clock numbers go through add_perf.
   void add_row(std::string scenario,
                std::vector<std::pair<std::string, double>> values) {
     rows_.push_back({std::move(scenario), std::move(values)});
+  }
+
+  // One wall-clock measurement row for the "perf" section: a throughput
+  // (the column the perf-regression gate reads) plus any other timing.
+  void add_perf(std::string scenario, double items_per_sec,
+                std::vector<std::pair<std::string, double>> values = {}) {
+    values.emplace(values.begin(), "items_per_sec", items_per_sec);
+    perf_.push_back({std::move(scenario), std::move(values)});
   }
 
   std::string to_json() const;
@@ -85,11 +95,18 @@ class RunReport {
   std::vector<FlowSummary> flows_;
   std::size_t flows_truncated_ = 0;
   std::vector<Row> rows_;
+  std::vector<Row> perf_;
 };
 
-// Where report-shaped artifacts land: $REPORT_JSON_DIR, else
-// $BENCH_JSON_DIR, else "bench_out". Shared with the TRIM_TRACE export
-// (trace_export.hpp) so traces sit next to the reports they explain.
+// Where report-shaped artifacts land: $BENCH_JSON_DIR, else "bench_out".
+// Shared with the TRIM_TRACE export (trace_export.hpp) so traces sit next
+// to the reports they explain.
 std::string report_output_dir();
+
+// Peak resident set size of this process in bytes (VmHWM from
+// /proc/self/status; 0 if unreadable). Not getrusage(RUSAGE_SELF), whose
+// peak Linux carries across execve: a bench started by a larger launcher
+// would report the launcher's peak.
+double peak_rss_bytes();
 
 }  // namespace trim::obs

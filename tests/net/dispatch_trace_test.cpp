@@ -1,9 +1,8 @@
-// Flat flow-dispatch table (Host) and ring-buffer trace tap: the two
-// bounded-state observability/demux structures on the packet hot path.
+// Flat flow-dispatch table (Host): the bounded-state demux structure on
+// the packet hot path.
 #include <gtest/gtest.h>
 
 #include "net/host.hpp"
-#include "net/trace_tap.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::net {
@@ -15,10 +14,9 @@ class CountingAgent : public Agent {
   int count = 0;
 };
 
-Packet data_for(FlowId flow, std::uint64_t seq = 0) {
+Packet data_for(FlowId flow) {
   Packet p;
   p.flow = flow;
-  p.seq = seq;
   p.payload_bytes = 100;
   return p;
 }
@@ -80,64 +78,6 @@ TEST(HostDispatch, UnregisterFreesSlotForReuse) {
   h.unregister_agent(4);
   h.unregister_agent(4);    // double/unknown unregister is a no-op
   h.unregister_agent(999);
-}
-
-// ---------- TraceTap ring buffer ----------
-
-TEST(TraceTapRing, KeepsMostRecentEntriesInChronologicalOrder) {
-  TraceTap tap;
-  tap.set_max_entries(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    tap.record(PacketEvent::kEnqueued, data_for(1, i), sim::SimTime::micros(i));
-  }
-  EXPECT_EQ(tap.size(), 4u);
-  EXPECT_EQ(tap.total_recorded(), 10u);
-  const auto entries = tap.entries();
-  ASSERT_EQ(entries.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(entries[i].packet.seq, 6 + i);  // oldest retained is seq 6
-    EXPECT_EQ(tap.entry(i).packet.seq, 6 + i);
-  }
-}
-
-TEST(TraceTapRing, CountersAreCumulativeAcrossEviction) {
-  TraceTap tap;
-  tap.set_max_entries(2);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    tap.record(PacketEvent::kDropped, data_for(1, i), sim::SimTime::micros(i));
-    tap.record(PacketEvent::kDelivered, data_for(1, i), sim::SimTime::micros(i));
-  }
-  // Only 2 entries survive, but the counters saw everything.
-  EXPECT_EQ(tap.size(), 2u);
-  EXPECT_EQ(tap.dropped_count(), 6u);
-  EXPECT_EQ(tap.delivered_count(), 6u);
-  EXPECT_EQ(tap.total_recorded(), 12u);
-}
-
-TEST(TraceTapRing, ShrinkingTheCapKeepsTheNewestEntries) {
-  TraceTap tap;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    tap.record(PacketEvent::kEnqueued, data_for(1, i), sim::SimTime::micros(i));
-  }
-  tap.set_max_entries(3);
-  const auto entries = tap.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries.front().packet.seq, 5u);
-  EXPECT_EQ(entries.back().packet.seq, 7u);
-  // Appends after the shrink still land in order behind the survivors.
-  tap.record(PacketEvent::kEnqueued, data_for(1, 8), sim::SimTime::micros(8));
-  EXPECT_EQ(tap.entries().back().packet.seq, 8u);
-  EXPECT_EQ(tap.size(), 3u);
-}
-
-TEST(TraceTapRing, FlowFilterAppliesBeforeCounters) {
-  TraceTap tap;
-  tap.set_flow_filter(2);
-  tap.record(PacketEvent::kDropped, data_for(1, 0), sim::SimTime::zero());
-  tap.record(PacketEvent::kDropped, data_for(2, 0), sim::SimTime::zero());
-  EXPECT_EQ(tap.dropped_count(), 1u);
-  EXPECT_EQ(tap.total_recorded(), 1u);
-  EXPECT_EQ(tap.size(), 1u);
 }
 
 }  // namespace

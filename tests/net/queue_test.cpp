@@ -66,15 +66,6 @@ TEST(DropTailQueue, ConservationInvariant) {
   EXPECT_EQ(s.enqueued + s.dropped, 20u);
 }
 
-TEST(DropTailQueue, DropCallbackFires) {
-  DropTailQueue q{QueueConfig::droptail_packets(1)};
-  int drops = 0;
-  q.set_drop_callback([&](const Packet&) { ++drops; });
-  q.enqueue(data_packet(1));
-  q.enqueue(data_packet(1));
-  EXPECT_EQ(drops, 1);
-}
-
 TEST(EcnDropTailQueue, MarksEctAboveThreshold) {
   EcnDropTailQueue q{QueueConfig::ecn_packets(100, 3)};
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.enqueue(data_packet(100, EcnCodepoint::kEct)));

@@ -2,12 +2,17 @@
 // determinism contract: the deterministic sections of a report built from
 // a parallel sweep must be identical at any pool width.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
@@ -17,7 +22,7 @@
 namespace trim::obs {
 namespace {
 
-RunReport sample_report() {
+RunReport sample_report(bool with_perf = true) {
   RunReport report{"unit"};
   report.add_scalar("goodput_mbps", 941.5);
   FlowSummary fs;
@@ -27,6 +32,7 @@ RunReport sample_report() {
   fs.retransmits = 2;
   report.add_flow(fs);
   report.add_row("point_a", {{"act_ms", 1.25}, {"timeouts", 0.0}});
+  if (with_perf) report.add_perf("point_a_batch", 12.5, {{"wall_seconds", 0.75}});
 
   TelemetrySnapshot tele;
   MetricsRegistry reg;
@@ -38,22 +44,36 @@ RunReport sample_report() {
   return report;
 }
 
-// peak_rss_bytes legitimately differs between two to_json() calls (the
-// process peak can rise in between); strip that single line before
-// comparing reports.
-std::string strip_rss(std::string s) {
-  const auto pos = s.find("\"peak_rss_bytes\"");
-  const auto end = s.find('\n', pos);
-  s.erase(pos, end - pos);
+// Removes top-level keys from a report: a scalar key's line, or an array
+// section from its opening line through its closing bracket.
+std::string strip(std::string s, std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    const auto pos = s.find(std::string{"\n  \""} + key + "\": ");
+    if (pos == std::string::npos) continue;
+    auto end = s.find('\n', pos + 1);
+    if (s.compare(end - 1, 1, "[") == 0) end = s.find('\n', s.find("\n  ]", end) + 1);
+    s.erase(pos + 1, end - pos);
+  }
   return s;
+}
+
+// peak_rss_bytes legitimately differs between two to_json() calls (the
+// process peak can rise in between); strip that line before comparing
+// reports.
+std::string strip_rss(std::string s) { return strip(std::move(s), {"peak_rss_bytes"}); }
+
+double peak_rss_in(const std::string& json) {
+  const auto pos = json.find("\"peak_rss_bytes\": ");
+  return pos == std::string::npos ? -1.0 : std::strtod(json.c_str() + pos + 18, nullptr);
 }
 
 TEST(RunReport, JsonCarriesEverySection) {
   const std::string json = sample_report().to_json();
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"report\": \"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"quick\":"), std::string::npos);
-  EXPECT_NE(json.find("\"peak_rss_bytes\":"), std::string::npos);
+  EXPECT_GT(peak_rss_in(json), 0.0);
+  EXPECT_NE(json.find("\"hw_threads\": "), std::string::npos);
   EXPECT_NE(json.find("\"goodput_mbps\": 941.5"), std::string::npos);
   EXPECT_NE(json.find("\"tcp.segments_sent\": 10"), std::string::npos);
   EXPECT_NE(json.find("\"trim.probe_enter\": 4"), std::string::npos);
@@ -61,7 +81,25 @@ TEST(RunReport, JsonCarriesEverySection) {
   EXPECT_NE(json.find("\"protocol\": \"trim\""), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"point_a\""), std::string::npos);
   EXPECT_NE(json.find("\"act_ms\": 1.25"), std::string::npos);
+  EXPECT_NE(json.find("\"perf\": [\n    {\"scenario\": \"point_a_batch\", "
+                      "\"items_per_sec\": 12.5, \"wall_seconds\": 0.75}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"phase\": \"sweep.job\""), std::string::npos);
+  // Wall-clock sections follow every deterministic one.
+  EXPECT_LT(json.find("\"rows\":"), json.find("\"perf\":"));
+  EXPECT_LT(json.find("\"perf\":"), json.find("\"profile\":"));
+}
+
+// Perf rows are wall-clock numbers: adding them must leave every
+// deterministic part of the report untouched.
+TEST(RunReport, PerfRowsStayOutOfDeterministicSections) {
+  const std::initializer_list<const char*> wall_clock{"perf", "profile",
+                                                      "peak_rss_bytes", "hw_threads"};
+  const std::string with = strip(sample_report(true).to_json(), wall_clock);
+  const std::string without = strip(sample_report(false).to_json(), wall_clock);
+  EXPECT_EQ(with, without);
+  EXPECT_EQ(with.find("items_per_sec"), std::string::npos);
+  EXPECT_NE(with.find("\"rows\": ["), std::string::npos);
 }
 
 TEST(RunReport, ZeroCountEventsAreOmitted) {
@@ -81,12 +119,12 @@ TEST(RunReport, FlowCapTruncatesAndCounts) {
   EXPECT_NE(report.to_json().find("\"flows_truncated\": 10"), std::string::npos);
 }
 
-TEST(RunReport, WriteHonorsReportJsonDir) {
+TEST(RunReport, WriteHonorsBenchJsonDir) {
   char tmpl[] = "/tmp/trim_report_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  ::setenv("REPORT_JSON_DIR", tmpl, 1);
+  ::setenv("BENCH_JSON_DIR", tmpl, 1);
   const std::string path = sample_report().write();
-  ::unsetenv("REPORT_JSON_DIR");
+  ::unsetenv("BENCH_JSON_DIR");
   ASSERT_EQ(path, std::string{tmpl} + "/REPORT_unit.json");
   std::ifstream in{path};
   ASSERT_TRUE(in.good());
@@ -98,9 +136,47 @@ TEST(RunReport, WriteHonorsReportJsonDir) {
 }
 
 TEST(RunReport, WriteToUnwritableDirReturnsEmptyNotThrow) {
-  ::setenv("REPORT_JSON_DIR", "/nonexistent/dir", 1);
+  ::setenv("BENCH_JSON_DIR", "/nonexistent/dir", 1);
   EXPECT_EQ(sample_report().write(), "");
-  ::unsetenv("REPORT_JSON_DIR");
+  ::unsetenv("BENCH_JSON_DIR");
+}
+
+// The child half of PeakRssIsThisProcessNotTheLauncher: that test
+// re-executes this binary with kRssChildEnv set, and only then does this
+// one check anything.
+constexpr const char* kRssChildEnv = "RUN_REPORT_TEST_RSS_CHILD";
+constexpr double kMiB = 1024.0 * 1024.0;
+
+TEST(RunReport, PeakRssChildReportsItsOwnPeak) {
+  if (std::getenv(kRssChildEnv) == nullptr) return;  // not re-executed
+  const double rss = peak_rss_in(sample_report().to_json());
+  EXPECT_GT(rss, 0.0);
+  EXPECT_LT(rss, 256.0 * kMiB);
+}
+
+// A report's peak RSS must be its own process's. Linux carries the
+// getrusage(RUSAGE_SELF) peak across execve, so a bench launched by a
+// larger process (a Python driver holding a big heap) would report the
+// launcher's peak.
+TEST(RunReport, PeakRssIsThisProcessNotTheLauncher) {
+  const std::size_t ballast_bytes = std::size_t{512} << 20;
+  std::vector<char> ballast(ballast_bytes);
+  std::memset(ballast.data(), 1, ballast.size());
+  asm volatile("" : : "r"(ballast.data()) : "memory");  // keep the pages touched
+  ASSERT_GE(peak_rss_bytes(), static_cast<double>(ballast_bytes));
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setenv(kRssChildEnv, "1", 1);
+    ::execl("/proc/self/exe", "/proc/self/exe",
+            "--gtest_filter=RunReport.PeakRssChildReportsItsOwnPeak", nullptr);
+    ::_exit(127);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the re-executed child reported the launcher's peak";
 }
 
 // Same sweep, pool width 1 vs 4: telemetry merged in submission order

@@ -126,10 +126,10 @@ TEST(LogSink, CaptureSinkInterceptsAndRestores) {
 
 TEST(LogSink, ObsWarningsRouteThroughTheSink) {
   sim::CaptureLogSink capture;
-  ::setenv("REPORT_JSON_DIR", "/nonexistent/dir", 1);
+  ::setenv("BENCH_JSON_DIR", "/nonexistent/dir", 1);
   RunReport report{"sink_probe"};
   EXPECT_EQ(report.write(), "");
-  ::unsetenv("REPORT_JSON_DIR");
+  ::unsetenv("BENCH_JSON_DIR");
   EXPECT_TRUE(capture.contains("run report"));
 }
 
