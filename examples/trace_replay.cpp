@@ -45,7 +45,7 @@ std::vector<http::TrainRecord> record_phase(http::TrainWorkload workload) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : "/tmp/trim_trace.csv";
+  const std::string path = argc > 1 ? argv[1] : "/tmp/trim_train_trace.csv";
 
   // Phase 1: record — drive a connection from the paper's analytic
   // distributions and capture what actually appeared on the wire.

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "net/routing.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_export.hpp"
+#include "sim/logging.hpp"
 
 namespace trim::exp {
 
@@ -97,17 +99,21 @@ World::~World() {
     obs::sweep_profiler().add("sim.run", engine.run_wall_ns(),
                               engine.events_dispatched());
   }
-  if (obs::trace_enabled()) {
-    for (std::size_t i = 0; i < shard_telemetry.size(); ++i) {
-      obs::Telemetry& t = *shard_telemetry[i];
-      obs::SpanTracer* tracer = t.tracer();
-      if (tracer == nullptr) continue;
-      tracer->finalize(t.last_event_at());
-      if (tracer->spans().empty() && !t.recorder().ring_enabled()) continue;
-      std::string body = tracer->to_jsonl();
-      body += t.recorder().to_jsonl();
-      obs::write_trace_jsonl("shard" + std::to_string(i), body);
+  if (!obs::trace_enabled()) return;
+  // A destructor must not throw: a trace too large to build is skipped
+  // with a warning.
+  try {
+    std::vector<obs::TraceShard> shards;
+    shards.reserve(shard_telemetry.size());
+    for (const auto& t : shard_telemetry) {
+      if (obs::SpanTracer* tracer = t->tracer()) {
+        tracer->finalize(t->last_event_at());
+      }
+      shards.push_back({t->tracer(), &t->recorder()});
     }
+    obs::write_chrome_trace(shards);
+  } catch (const std::exception& e) {
+    sim::log_message(sim::LogLevel::kWarn, 0.0, "trace export: %s", e.what());
   }
 }
 

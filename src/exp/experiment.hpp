@@ -66,8 +66,9 @@ struct World {
   explicit World(int shards = 0, sim::SchedulerKind = {}, sim::SyncMode = {});
   // Folds this world's event-loop wall time into obs::sweep_profiler()
   // ("sim.run", items = events dispatched), so bench reports break the
-  // clock down into loop time vs. harness time. Also writes the TRACE
-  // file when TRIM_TRACE is enabled.
+  // clock down into loop time vs. harness time. Under TRIM_TRACE, also
+  // writes the whole run (every shard's spans and ring events) as one
+  // TRACE_<seq>.json, unless nothing was recorded.
   ~World();
   World(const World&) = delete;
   World& operator=(const World&) = delete;

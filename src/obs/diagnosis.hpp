@@ -12,11 +12,11 @@
 //                        flows that had just resumed an inherited window
 //                        (Eq. 1 resume shortly before their first loss)
 //
-// Detectors observe, never participate: they hang off obs::Telemetry's
-// sink mask (TRIM_DETECTORS=0 disables), so simulation outputs are
-// byte-identical with diagnosis on or off. The hot path is allocation
-// free — fixed rings and open-addressing tables sized at construction —
-// which keeps the bench-smoke zero-allocation gate honest.
+// Detectors observe, never participate, and are always on: obs::Telemetry
+// stages the events in DetectorSet::kind_mask() at run time and
+// diagnose_episodes() replays them at snapshot, so simulation outputs
+// never depend on diagnosis. The detectors are allocation free — fixed
+// rings and open-addressing tables sized at construction.
 //
 // Episodes land in TelemetrySnapshot::episodes and serialize into the
 // run report's "episodes" section (see run_report.cpp).
@@ -226,8 +226,8 @@ class ThroughputCollapseDetector final : public detail::WindowedDetector {
   detail::FlowTimeMap last_resume_;
 };
 
-// The three detectors behind one dispatch surface; obs::Telemetry owns
-// one per simulator and routes masked events here.
+// The three detectors behind one dispatch surface; diagnose_episodes()
+// streams a sorted event list through a fresh one.
 class DetectorSet {
  public:
   DetectorSet();
@@ -256,7 +256,7 @@ class DetectorSet {
 // streams them through a fresh DetectorSet, finalizing at `finalize_at`.
 // Telemetry stages detector-masked events at run time (O(1) per event)
 // and calls this at snapshot; because the staged multiset is identical
-// across scheduler backends and TRIM_SHARDS widths, so are the episodes.
+// across TRIM_SHARDS widths, so are the episodes.
 std::vector<DiagnosedEpisode> diagnose_episodes(
     std::vector<RecordedEvent> events, sim::SimTime finalize_at);
 

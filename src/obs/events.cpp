@@ -1,7 +1,5 @@
 #include "obs/events.hpp"
 
-#include <cstdio>
-
 namespace trim::obs {
 
 const char* to_string(EventKind kind) {
@@ -47,14 +45,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kShardMailboxFlush: return "shard.mailbox_flush";
   }
   return "?";
-}
-
-void append_event_jsonl(std::string& out, const RecordedEvent& e) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "{\"t\":%.9f,\"kind\":\"%s\",\"subject\":%u,\"a\":%.9g,\"b\":%.9g}\n",
-                e.at.to_seconds(), to_string(e.kind), e.subject, e.a, e.b);
-  out += buf;
 }
 
 }  // namespace trim::obs

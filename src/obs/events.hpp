@@ -1,7 +1,8 @@
 // The telemetry event vocabulary of the flight recorder
-// (obs/flight_recorder.hpp): one fixed enum of structured event kinds, one
-// POD record layout, and one JSONL line format, so traces from different
-// components can be merged on the time axis offline.
+// (obs/flight_recorder.hpp): one fixed enum of structured event kinds and
+// one POD record layout shared by every emitting component. A traced run
+// writes its retained events as Chrome instants named to_string(kind)
+// (obs/trace_export.hpp).
 //
 // Every event is (time, kind, subject, a, b):
 //   subject — the emitting entity: the flow id for transport events, a
@@ -11,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "sim/time.hpp"
@@ -93,8 +93,8 @@ constexpr std::uint64_t kind_bit(EventKind k) {
   return std::uint64_t{1} << static_cast<unsigned>(k);
 }
 
-// Stable dotted name, e.g. "trim.probe_enter" — the `kind` field of the
-// JSONL schema and the key used in run-report event counts.
+// Stable dotted name, e.g. "trim.probe_enter" — the instant's name in
+// trace files and the key used in run-report event counts.
 const char* to_string(EventKind kind);
 
 // One recorded event. POD on purpose: the flight recorder stores these in
@@ -129,12 +129,5 @@ constexpr std::uint32_t subject_id(std::string_view name) {
   }
   return h;
 }
-
-// Appends one JSONL line:
-//   {"t":<sec>,"kind":"<name>","subject":<id>,"a":<a>,"b":<b>}\n
-// The line format of FlightRecorder::to_jsonl (and so of the ring events
-// in TRIM_TRACE files): dumps from several recorders interleave cleanly
-// when sorted by "t".
-void append_event_jsonl(std::string& out, const RecordedEvent& e);
 
 }  // namespace trim::obs

@@ -53,13 +53,6 @@ std::vector<RecordedEvent> FlightRecorder::events(EventKind kind) const {
   return out;
 }
 
-std::string FlightRecorder::to_jsonl() const {
-  std::string out;
-  out.reserve(size_ * 96);
-  for (std::size_t i = 0; i < size_; ++i) append_event_jsonl(out, event(i));
-  return out;
-}
-
 void FlightRecorder::clear() {
   head_ = 0;
   size_ = 0;

@@ -7,10 +7,11 @@
 //     is attached to the simulator — one array increment per event, so
 //     scenario results and run reports can audit activity (how many probe
 //     rounds, RTO firings, injected losses) with no ring allocated;
-//   * the ring itself is opt-in via enable(capacity) (scenarios, tests) or
-//     the TRIM_TELEMETRY env knob (see obs/telemetry.hpp). Storage is
-//     allocated once and reused; a full ring overwrites the oldest entry,
-//     so a week-long run holds the most recent `capacity` events.
+//   * the ring itself is opt-in: enable(capacity) in code, or tracing
+//     (TRIM_TRACE, see obs/telemetry.hpp), which enables 65,536 events and
+//     writes them to the run's trace file. Storage is allocated once and
+//     reused; a full ring overwrites the oldest entry, so a week-long run
+//     holds the most recent `capacity` events.
 //
 // Disabled (no Telemetry attached), the emit sites are a single pointer
 // test — the simulation is bit-identical either way, because telemetry
@@ -19,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -65,9 +65,6 @@ class FlightRecorder {
   std::vector<RecordedEvent> events() const;
   // Retained events of one kind, oldest first.
   std::vector<RecordedEvent> events(EventKind kind) const;
-
-  // One JSONL line per retained event (schema in obs/events.hpp).
-  std::string to_jsonl() const;
 
   void clear();
 

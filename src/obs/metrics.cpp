@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "sim/config_error.hpp"
-#include "stats/csv.hpp"
 
 namespace trim::obs {
 
@@ -274,30 +273,6 @@ const HistogramSample* find_histogram(const MetricsSnapshot& snapshot,
     if (h.name == name) return &h;
   }
   return nullptr;
-}
-
-std::string maybe_write_metrics_csv(const std::string& name,
-                                    const MetricsSnapshot& snapshot) {
-  const std::string dir = stats::csv_dir();
-  if (dir.empty()) return {};
-  const std::string path = dir + "/metrics_" + name + ".csv";
-  stats::CsvWriter csv{path};
-  csv.header({"type", "name", "value"});
-  for (const auto& c : snapshot.counters) {
-    csv.row(std::vector<std::string>{"counter", c.name, num(c.value)});
-  }
-  for (const auto& g : snapshot.gauges) {
-    csv.row(std::vector<std::string>{"gauge", g.name, num(g.value)});
-  }
-  for (const auto& h : snapshot.histograms) {
-    csv.row(std::vector<std::string>{"histogram", h.name + ".count", num(h.count)});
-    csv.row(std::vector<std::string>{"histogram", h.name + ".sum", num(h.sum)});
-    csv.row(std::vector<std::string>{"histogram", h.name + ".underflow",
-                                     num(h.underflow)});
-    csv.row(std::vector<std::string>{"histogram", h.name + ".overflow",
-                                     num(h.overflow)});
-  }
-  return path;
 }
 
 }  // namespace trim::obs

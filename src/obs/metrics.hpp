@@ -12,8 +12,7 @@
 // submission order — deterministic at any REPRO_JOBS width.
 //
 // Export: snapshot() -> MetricsSnapshot (plain data, sorted by name),
-// which merges, serializes to JSON (run reports), and writes CSV through
-// the existing stats/csv machinery (REPRO_CSV_DIR gated).
+// which merges and serializes to JSON (run reports).
 #pragma once
 
 #include <cstdint>
@@ -153,12 +152,5 @@ class MetricsRegistry {
   std::map<std::string, Gauge*, std::less<>> gauge_index_;
   std::map<std::string, Histogram*, std::less<>> histogram_index_;
 };
-
-// CSV export through stats/csv: writes "metrics_<name>.csv" with columns
-// (type, name, value) when REPRO_CSV_DIR is set; histograms contribute
-// their count, sum, underflow and overflow as separate rows. Returns the
-// path written, or "" when export is disabled.
-std::string maybe_write_metrics_csv(const std::string& name,
-                                    const MetricsSnapshot& snapshot);
 
 }  // namespace trim::obs

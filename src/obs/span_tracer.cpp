@@ -1,7 +1,6 @@
 #include "obs/span_tracer.hpp"
 
 #include <bit>
-#include <cstdio>
 
 namespace trim::obs {
 
@@ -192,24 +191,6 @@ SpanStats SpanTracer::stats() const {
     }
   }
   return st;
-}
-
-void append_span_jsonl(std::string& out, const Span& s) {
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                "{\"span\":\"%s\",\"id\":%u,\"parent\":%u,\"flow\":%u,"
-                "\"t0\":%.9f,\"t1\":%.9f,\"a\":%.9g,\"b\":%.9g,"
-                "\"complete\":%s}\n",
-                to_string(s.kind), s.id, s.parent, s.flow, s.begin.to_seconds(),
-                s.end.to_seconds(), s.a, s.b, s.complete ? "true" : "false");
-  out += buf;
-}
-
-std::string SpanTracer::to_jsonl() const {
-  std::string out;
-  out.reserve(spans_.size() * 120);
-  for (const auto& s : spans_) append_span_jsonl(out, s);
-  return out;
 }
 
 }  // namespace trim::obs

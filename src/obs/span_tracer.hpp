@@ -8,21 +8,19 @@
 //     rto                            (RTO recovery: first fire -> backoff reset)
 //     time_wait                      (TIME_WAIT enter -> expiry)
 //
-// The tracer is a pure event consumer: obs::Telemetry routes the kinds in
-// kind_mask() through on_event() when tracing is enabled (the TRIM_TRACE
-// knob, or enable_tracer() in tests). It never touches the simulation, so
-// runs are byte-identical with tracing on or off.
+// The tracer is a pure event consumer: obs::Telemetry creates one when a
+// bundle is attached under the TRIM_TRACE knob and routes the kinds in
+// kind_mask() through on_event(). It never touches the simulation, so runs
+// are byte-identical with tracing on or off.
 //
-// Export paths: to_jsonl() writes one span per line (schema below) into
-// the TRACE_*.jsonl files next to REPORT_*.json; tools/trim_trace converts
-// those to Chrome trace-event JSON for Perfetto. stats() condenses the
-// span set into mergeable, order-independent counts + digest so the
-// scheduler/shard equivalence tests can compare whole traces cheaply.
+// Outputs: exp::World writes spans() into the run's TRACE_<seq>.json as
+// Chrome "X" slices (trace_export.hpp). stats() condenses the span set
+// into mergeable, order-independent counts + digest so the shard
+// equivalence tests can compare whole traces cheaply.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -66,7 +64,7 @@ struct Span {
 
 // Order-independent roll-up of one tracer's spans; shards merge
 // commutatively, so equivalence tests can compare traces across
-// TRIM_SHARDS widths and scheduler backends without sorting anything.
+// TRIM_SHARDS widths without sorting anything.
 struct SpanStats {
   std::array<std::uint64_t, kSpanKindCount> by_kind{};
   std::uint64_t completed = 0;
@@ -95,7 +93,7 @@ class SpanTracer {
   explicit SpanTracer(std::size_t max_spans = 1 << 16);
 
   // The EventKinds the tracer consumes (Telemetry adds these to its sink
-  // mask when tracing is enabled).
+  // mask when it creates the tracer).
   static std::uint64_t kind_mask();
 
   void on_event(const RecordedEvent& e);
@@ -105,11 +103,6 @@ class SpanTracer {
   const std::vector<Span>& spans() const { return spans_; }
   std::uint64_t dropped() const { return dropped_; }
   SpanStats stats() const;
-
-  // One line per span:
-  //   {"span":"probe","id":3,"parent":1,"flow":7,"t0":...,"t1":...,
-  //    "a":...,"b":...,"complete":true}
-  std::string to_jsonl() const;
 
  private:
   struct FlowState {
@@ -132,7 +125,5 @@ class SpanTracer {
   std::unordered_map<std::uint32_t, FlowState> flows_;
   std::uint64_t dropped_ = 0;
 };
-
-void append_span_jsonl(std::string& out, const Span& s);
 
 }  // namespace trim::obs

@@ -1,28 +1,28 @@
 // The per-Simulator telemetry bundle: one MetricsRegistry plus one
-// FlightRecorder plus the optional diagnosis sinks (collapse detectors,
-// span tracer), attached to a Simulator so every component holding a
-// Simulator* can reach all of them without new plumbing.
+// FlightRecorder plus the diagnosis sinks (collapse-detector staging,
+// optional span tracer), attached to a Simulator so every component
+// holding a Simulator* can reach all of them without new plumbing.
 //
 // exp::World owns a Telemetry and attaches it in its constructor, so all
 // scenario runs are instrumented by default; bare Simulator uses (unit
 // tests, micro-benches) have no bundle and every emit site degrades to a
 // null-pointer test. Attachment is observational only — telemetry never
 // schedules events or draws randomness — so simulation output is
-// byte-identical with the bundle present, absent, or ring-enabled.
+// byte-identical with the bundle present, absent, or traced.
 //
 // Emit sites route through observe(): the recorder always counts, then a
 // single 64-bit mask test decides whether any sink (detectors, tracer)
 // wants the kind — hot kinds stay a count increment plus one AND.
 //
-// Knobs (all read per bundle, none cached process-wide):
-//   TRIM_TELEMETRY   ring storage: "1" -> 8192 events, N -> capacity
-//   TRIM_DETECTORS   collapse detectors: default on, "0" -> off
-//   TRIM_TRACE       span tracing + trace file export (trace_export.hpp)
+// The collapse detectors are always on. The one knob is TRIM_TRACE (read
+// per bundle at attach, see trace_export.hpp): it adds the span tracer and
+// a kTraceRingEvents ring, whose contents exp::World writes to the run's
+// trace file. Without it the ring stays off unless code calls
+// recorder().enable(n).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/diagnosis.hpp"
@@ -73,8 +73,11 @@ class alignas(64) Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // Point `sim` at this bundle and apply the TRIM_TELEMETRY ring and
-  // TRIM_TRACE tracer knobs.
+  // Ring capacity that tracing gives each bundle.
+  static constexpr std::size_t kTraceRingEvents = std::size_t{1} << 16;
+
+  // Point `sim` at this bundle; under TRIM_TRACE, also create the span
+  // tracer and enable a kTraceRingEvents ring.
   void attach(sim::Simulator& sim);
 
   MetricsRegistry& registry() { return registry_; }
@@ -93,16 +96,15 @@ class alignas(64) Telemetry {
     }
   }
 
-  // Sinks. Enabling is idempotent; both are observational only.
+  // Sinks; both are observational only.
   //
-  // Detectors: enabling stages detector-masked (cold) events in an
-  // append-only buffer at run time; diagnosis itself is the sorted
-  // streaming replay in diagnose_episodes(), run at snapshot — which is
-  // what makes episodes identical across scheduler backends and shard
-  // widths (each shard stages its part of one global event multiset).
-  void enable_detectors();
-  void enable_tracer(std::size_t max_spans = std::size_t{1} << 16);
-  bool detectors_enabled() const { return detectors_enabled_; }
+  // Detectors: detector-masked (cold) events are staged in an append-only
+  // buffer at run time; diagnosis itself is the sorted streaming replay in
+  // diagnose_episodes(), run at snapshot — which is what makes episodes
+  // identical across shard widths (each shard stages its part of one
+  // global event multiset).
+  //
+  // The span tracer, or nullptr when the bundle was attached untraced.
   SpanTracer* tracer() { return tracer_.get(); }
 
   // The staged detector stream (unsorted, in arrival order) and how many
@@ -134,17 +136,10 @@ class alignas(64) Telemetry {
   CoreHandles core_;
   std::uint64_t sink_mask_ = 0;
   sim::SimTime last_event_at_;
-  bool detectors_enabled_ = false;
   std::vector<RecordedEvent> staged_;
   std::uint64_t staged_dropped_ = 0;
   std::unique_ptr<SpanTracer> tracer_;
 };
-
-// Ring capacity requested via TRIM_TELEMETRY (0 = counts only).
-std::size_t env_recorder_capacity();
-
-// TRIM_DETECTORS: true unless set to "0".
-bool env_detectors_enabled();
 
 // The bundle attached to `sim`, or nullptr (bare Simulator, tests).
 inline Telemetry* telemetry_of(const sim::Simulator* sim) {

@@ -1,63 +1,51 @@
-// Trace file export and conversion.
+// Trace export: one Chrome trace-event file per traced run.
 //
-// Runtime side (TRIM_TRACE knob): when tracing is enabled, exp::World
-// writes one TRACE_<name>_<seq>.jsonl per telemetry bundle at teardown,
-// containing the tracer's span lines (span_tracer.hpp schema) followed by
-// the flight-recorder ring's event lines (events.hpp schema). The knob:
+// The TRIM_TRACE knob turns tracing on. exp::World's destructor then
+// hands its shards' span tracers and flight-recorder rings to
+// write_chrome_trace(), which writes the whole run as one TRACE_<seq>.json
+// into trace_dir():
 //   unset / "0"  tracing off (the default; zero overhead)
 //   "1"          write next to REPORT_*.json (report_output_dir())
 //   <path>       write into <path>
 //
-// Offline side (tools/trim_trace): parse_trace_jsonl() reads those files
-// back (tolerant, hand-rolled — no JSON dependency) and to_chrome_trace()
-// converts them to Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing — spans become "X" complete events on tid = flow id,
-// ring events become "i" instants.
+// The file loads as-is in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// One record per line:
+//   - one process per shard that recorded a span or an event: pid = shard
+//     index, named shard<i> by a "process_name" metadata ("M") record;
+//   - every span (span_tracer.hpp) is an "X" complete slice on tid = flow;
+//   - every retained ring event (events.hpp) is an "i" instant on
+//     tid = subject.
+// ts and dur are simulated microseconds, printed exactly from the integer
+// nanosecond SimTime with three decimals.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace trim::obs {
+
+class FlightRecorder;
+class SpanTracer;
 
 // TRIM_TRACE, read fresh on every call (tests flip it mid-process).
 bool trace_enabled();
 std::string trace_dir();
 
-// Writes TRACE_<name>_<seq>.jsonl (seq = atomic per-process counter, so
-// multi-bundle worlds and repeated runs never clobber each other) into
-// trace_dir(). Returns the path, or "" on failure (warned, never fatal).
-std::string write_trace_jsonl(const std::string& name, const std::string& body);
-
-// One parsed JSONL line; `is_span` selects which fields are meaningful.
-struct TraceLine {
-  bool is_span = false;
-  // Span fields (span_tracer.hpp).
-  std::string span;
-  std::uint32_t id = 0;
-  std::uint32_t parent = 0;
-  std::uint32_t flow = 0;
-  double t0 = 0.0, t1 = 0.0;
-  bool complete = false;
-  // Event fields (events.hpp).
-  std::string kind;
-  std::uint32_t subject = 0;
-  double t = 0.0;
-  // Shared payload.
-  double a = 0.0, b = 0.0;
+// What one shard recorded; either pointer may be null.
+struct TraceShard {
+  const SpanTracer* tracer = nullptr;
+  const FlightRecorder* recorder = nullptr;
 };
 
-// Parses trace JSONL; unparseable lines are skipped (count them by
-// comparing line totals if needed).
-std::vector<TraceLine> parse_trace_jsonl(std::string_view text);
+// The Chrome trace-event document for one run; shards[i] becomes pid i.
+// Shards with no span and no retained event get no process. Always a
+// valid document, even with nothing to show.
+std::string to_chrome_trace(const std::vector<TraceShard>& shards);
 
-// Chrome trace-event JSON for one or more parsed trace files. Each file
-// becomes one pid (with a process_name metadata record naming it); tid is
-// the flow id, so Perfetto groups a flow's spans onto one track.
-std::string to_chrome_trace(
-    const std::vector<std::pair<std::string, std::vector<TraceLine>>>& docs);
+// Writes to_chrome_trace(shards) to TRACE_<seq>.json in trace_dir() (seq =
+// atomic per-process counter, so repeated and concurrent runs never
+// clobber each other). Returns the path, or "" when no shard recorded
+// anything or the write failed (warned, never fatal).
+std::string write_chrome_trace(const std::vector<TraceShard>& shards);
 
 }  // namespace trim::obs

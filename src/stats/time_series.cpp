@@ -7,12 +7,6 @@
 namespace trim::stats {
 
 void TimeSeries::record(sim::SimTime at, double value) {
-  if (stride_ > 1 && tick_++ % stride_ != 0) return;
-  append(at, value);
-  if (decimation_limit_ != 0 && size_ >= decimation_limit_) thin();
-}
-
-void TimeSeries::append(sim::SimTime at, double value) {
   if (size_ == chunks_.size() * kChunk) {
     chunks_.emplace_back();
     chunks_.back().reserve(kChunk);
@@ -20,17 +14,6 @@ void TimeSeries::append(sim::SimTime at, double value) {
   chunks_[size_ / kChunk].push_back({at, value});
   ++size_;
   flat_stale_ = true;
-}
-
-void TimeSeries::thin() {
-  std::vector<Sample> kept;
-  kept.reserve((size_ + 1) / 2);
-  for (std::size_t i = 0; i < size_; i += 2) kept.push_back(at(i));
-  chunks_.clear();
-  size_ = 0;
-  for (const auto& s : kept) append(s.at, s.value);
-  stride_ *= 2;
-  tick_ = 0;
 }
 
 std::span<const TimeSeries::Sample> TimeSeries::samples() const {
@@ -95,12 +78,12 @@ TimeSeries TimeSeries::downsampled(std::size_t max_points) const {
   TimeSeries out;
   const std::size_t stride = (size_ + max_points - 1) / max_points;
   for (std::size_t i = 0; i < size_; i += stride) {
-    out.append(at(i).at, at(i).value);
+    out.record(at(i).at, at(i).value);
   }
   // The endpoint must survive: a trace that ends on a spike would
   // otherwise lose its final excursion to the stride.
   if ((size_ - 1) % stride != 0) {
-    out.append(at(size_ - 1).at, at(size_ - 1).value);
+    out.record(at(size_ - 1).at, at(size_ - 1).value);
   }
   return out;
 }

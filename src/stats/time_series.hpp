@@ -6,13 +6,6 @@
 // reallocating vector would — appends on multi-million-event traces are
 // O(1) worst case, not just amortized. `samples()` still hands out one
 // contiguous span (flattened lazily and cached).
-//
-// For traces that must stay bounded on arbitrarily long runs,
-// `set_decimation_limit` turns the series into an adaptive decimating
-// recorder: when the retained count hits the limit, every other sample is
-// discarded and the keep stride doubles, so memory stays under the limit
-// while the trace keeps covering the whole run at geometrically coarser
-// resolution.
 #pragma once
 
 #include <cstddef>
@@ -32,15 +25,10 @@ class TimeSeries {
 
   void record(sim::SimTime at, double value);
 
-  // Contiguous view of all retained samples, oldest first.
+  // Contiguous view of all samples, oldest first.
   std::span<const Sample> samples() const;
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  // Bound retained samples to roughly `limit` via adaptive decimation
-  // (0 = retain everything, the default). Intended for always-on
-  // observability traces, not for figure data: decimation drops samples.
-  void set_decimation_limit(std::size_t limit) { decimation_limit_ = limit; }
 
   double max_value() const;
   double min_value() const;
@@ -63,16 +51,9 @@ class TimeSeries {
   const Sample& at(std::size_t i) const {
     return chunks_[i / kChunk][i % kChunk];
   }
-  void append(sim::SimTime at, double value);
-  // Drop every other retained sample and double the keep stride.
-  void thin();
 
   std::vector<std::vector<Sample>> chunks_;
   std::size_t size_ = 0;
-
-  std::size_t decimation_limit_ = 0;
-  std::size_t stride_ = 1;  // record() keeps every stride_-th call
-  std::size_t tick_ = 0;
 
   // Lazy flatten cache backing samples(); rebuilt only when stale and the
   // series spans more than one chunk.

@@ -8,8 +8,8 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -67,7 +67,6 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
   char tmpl[] = "/tmp/trim_diag_equiv_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   setenv("TRIM_TRACE", tmpl, 1);
-  setenv("TRIM_DETECTORS", "1", 1);
 
   const ConnectionStormConfig base = storm_config();
   std::vector<obs::TelemetrySnapshot> snaps;
@@ -80,7 +79,6 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
     snaps.push_back(r.telemetry);
   }
   unsetenv("TRIM_TRACE");
-  unsetenv("TRIM_DETECTORS");
 
   // The storm must actually be diagnosed, with sane bounds.
   const auto& ref = snaps.front();
@@ -118,26 +116,32 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
         << label;
   }
 
-  // Best-effort scratch cleanup; TRACE file names carry a process-wide
-  // sequence number, so glob by prefix instead of reconstructing them.
-  std::string cmd = "rm -rf ";
-  cmd += tmpl;
-  std::system(cmd.c_str());
+  std::filesystem::remove_all(tmpl);
 }
 
-TEST(DiagnosisEquivalence, DetectorsOffLeavesResultsIdentical) {
-  // TRIM_DETECTORS=0 must not change the simulation, only the episodes.
+TEST(DiagnosisEquivalence, TracingOffLeavesResultsIdentical) {
+  // TRIM_TRACE must not change the simulation or its diagnosis, only
+  // whether spans are assembled and a trace file is written.
   ConnectionStormConfig cfg = storm_config();
   cfg.shards = 1;
 
-  setenv("TRIM_DETECTORS", "1", 1);
+  char tmpl[] = "/tmp/trim_diag_trace_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  setenv("TRIM_TRACE", tmpl, 1);
   const auto with = run_connection_storm(cfg);
-  setenv("TRIM_DETECTORS", "0", 1);
+  unsetenv("TRIM_TRACE");
   const auto without = run_connection_storm(cfg);
-  unsetenv("TRIM_DETECTORS");
+  std::filesystem::remove_all(tmpl);
 
+  EXPECT_GT(with.telemetry.spans.total(), 0u);
+  EXPECT_EQ(without.telemetry.spans.total(), 0u);
   EXPECT_FALSE(with.telemetry.episodes.empty());
-  EXPECT_TRUE(without.telemetry.episodes.empty());
+  ASSERT_EQ(with.telemetry.episodes.size(), without.telemetry.episodes.size());
+  for (std::size_t j = 0; j < with.telemetry.episodes.size(); ++j) {
+    EXPECT_TRUE(same_episode(with.telemetry.episodes[j],
+                             without.telemetry.episodes[j]))
+        << "episode " << j;
+  }
   EXPECT_EQ(with.setup_latency_s, without.setup_latency_s);
   EXPECT_EQ(with.graceful_closes, without.graceful_closes);
   EXPECT_EQ(with.aborted_closes, without.aborted_closes);

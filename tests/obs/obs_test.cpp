@@ -1,5 +1,5 @@
 // Unit tests for the obs layer: metrics registry, flight recorder,
-// subject ids, JSONL formatting, and the scoped profiler.
+// subject ids, event-kind names, and the scoped profiler.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -158,18 +158,6 @@ TEST(FlightRecorder, EventsByKindAndClear) {
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.count(EventKind::kRtoArmed), 0u);
   EXPECT_TRUE(rec.ring_enabled());  // capacity survives clear()
-}
-
-TEST(FlightRecorder, JsonlSchema) {
-  FlightRecorder rec;
-  rec.enable(4);
-  rec.emit(sim::SimTime::millis(1), EventKind::kTrimProbeEnter, 5, 40.0, 2.0);
-  const std::string jsonl = rec.to_jsonl();
-  EXPECT_NE(jsonl.find("\"kind\":\"trim.probe_enter\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"t\":0.001"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"subject\":5"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"a\":40"), std::string::npos);
-  EXPECT_EQ(jsonl.back(), '\n');
 }
 
 TEST(EventCounts, MergeAddsPerKind) {

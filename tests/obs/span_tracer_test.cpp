@@ -3,8 +3,6 @@
 // drop accounting, and the order-independence of the stats digest.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include "obs/span_tracer.hpp"
@@ -221,19 +219,6 @@ TEST(SpanTracer, StatsDigestIsOrderIndependentAcrossFlows) {
   EXPECT_EQ(merged.digest, a.digest);
   EXPECT_EQ(merged.completed, a.completed);
   EXPECT_EQ(merged.by_kind, a.by_kind);
-}
-
-TEST(SpanTracer, JsonlHasOneWellFormedLinePerSpan) {
-  SpanTracer tracer;
-  for (const auto& e : full_lifecycle(7)) tracer.on_event(e);
-  const std::string out = tracer.to_jsonl();
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(out.begin(), out.end(), '\n')),
-            tracer.spans().size());
-  EXPECT_NE(out.find("\"span\":\"handshake\""), std::string::npos);
-  EXPECT_NE(out.find("\"span\":\"time_wait\""), std::string::npos);
-  EXPECT_NE(out.find("\"complete\":true"), std::string::npos);
-  EXPECT_NE(out.find("\"flow\":7"), std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
-// Telemetry bundle attachment, the TRIM_TELEMETRY env knob, the CSV
-// export gate, and the pluggable log sink the obs warnings route through.
+// Telemetry bundle attachment, what the TRIM_TRACE env knob adds to a
+// bundle, and the pluggable log sink the obs warnings route through.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "exp/experiment.hpp"
 #include "obs/metrics.hpp"
@@ -60,21 +57,24 @@ TEST(Telemetry, PreregisteredCoreHandlesExist) {
 }
 
 TEST(Telemetry, EnvKnobControlsRingCapacity) {
-  ::unsetenv("TRIM_TELEMETRY");
-  EXPECT_EQ(env_recorder_capacity(), 0u);
-  ::setenv("TRIM_TELEMETRY", "0", 1);
-  EXPECT_EQ(env_recorder_capacity(), 0u);
-  ::setenv("TRIM_TELEMETRY", "1", 1);
-  EXPECT_EQ(env_recorder_capacity(), 8192u);
-  ::setenv("TRIM_TELEMETRY", "512", 1);
-  EXPECT_EQ(env_recorder_capacity(), 512u);
+  // TRIM_TRACE is the only knob: attached under it, a bundle gets the span
+  // tracer and a 65,536-event ring; without it, neither.
+  ::setenv("TRIM_TRACE", "/nonexistent/dir", 1);
+  sim::Simulator traced_sim;
+  Telemetry traced;
+  traced.attach(traced_sim);
+  ::unsetenv("TRIM_TRACE");
+  EXPECT_NE(traced.tracer(), nullptr);
+  EXPECT_TRUE(traced.recorder().ring_enabled());
+  EXPECT_EQ(traced.recorder().capacity(), 65536u);
+  EXPECT_EQ(Telemetry::kTraceRingEvents, 65536u);
 
   sim::Simulator sim;
-  Telemetry tele;
-  tele.attach(sim);
-  EXPECT_TRUE(tele.recorder().ring_enabled());
-  EXPECT_EQ(tele.recorder().capacity(), 512u);
-  ::unsetenv("TRIM_TELEMETRY");
+  Telemetry plain;
+  plain.attach(sim);
+  EXPECT_EQ(plain.tracer(), nullptr);
+  EXPECT_FALSE(plain.recorder().ring_enabled());
+  EXPECT_EQ(plain.recorder().capacity(), 0u);
 }
 
 TEST(Telemetry, WorldAttachesItsBundle) {
@@ -82,30 +82,6 @@ TEST(Telemetry, WorldAttachesItsBundle) {
   EXPECT_EQ(telemetry_of(&world.simulator), &world.telemetry);
   const auto snap = world.telemetry_snapshot();
   EXPECT_FALSE(snap.metrics.counters.empty());  // core handles registered
-}
-
-TEST(MetricsCsv, GatedByEnvAndWritesTypedRows) {
-  ::unsetenv("REPRO_CSV_DIR");
-  MetricsRegistry reg;
-  reg.counter("tcp.segments_sent")->inc(5);
-  EXPECT_EQ(maybe_write_metrics_csv("unit", reg.snapshot()), "");
-
-  char tmpl[] = "/tmp/trim_csv_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  ::setenv("REPRO_CSV_DIR", tmpl, 1);
-  reg.gauge("queue.peak")->set(7.0);
-  const std::string path = maybe_write_metrics_csv("unit", reg.snapshot());
-  ::unsetenv("REPRO_CSV_DIR");
-  ASSERT_FALSE(path.empty());
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("counter"), std::string::npos);
-  EXPECT_NE(buf.str().find("tcp.segments_sent"), std::string::npos);
-  EXPECT_NE(buf.str().find("gauge"), std::string::npos);
-  std::remove(path.c_str());
-  std::remove(tmpl);
 }
 
 TEST(LogSink, CaptureSinkInterceptsAndRestores) {

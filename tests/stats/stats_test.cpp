@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/cdf.hpp"
-#include "stats/histogram.hpp"
 #include "stats/rate_meter.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -93,20 +92,6 @@ TEST(TimeSeries, ChunkedStorageStaysContiguousAcrossBoundaries) {
   EXPECT_DOUBLE_EQ(ts.samples().back().value, 12345.0);
 }
 
-TEST(TimeSeries, DecimationLimitBoundsRetainedSamples) {
-  TimeSeries ts;
-  ts.set_decimation_limit(1000);
-  for (int i = 0; i < 100000; ++i) ts.record(SimTime::micros(i), i);
-  EXPECT_LE(ts.size(), 1000u);
-  EXPECT_GE(ts.size(), 250u);  // coarser, but still covering the run
-  const auto view = ts.samples();
-  EXPECT_DOUBLE_EQ(view.front().value, 0.0);
-  for (std::size_t i = 1; i < view.size(); ++i) {
-    EXPECT_LT(view[i - 1].at, view[i].at);  // order survives thinning
-  }
-  EXPECT_GT(view.back().value, 90000.0);  // the tail of the run is covered
-}
-
 // ---------- RateMeter ----------
 
 TEST(RateMeter, ComputesMbpsPerBin) {
@@ -132,35 +117,6 @@ TEST(RateMeter, RejectsBadInput) {
   EXPECT_THROW(meter.add(SimTime::zero() - SimTime::millis(1), 10), std::invalid_argument);
   EXPECT_THROW(meter.mean_mbps(SimTime::millis(5), SimTime::millis(5)),
                std::invalid_argument);
-}
-
-// ---------- Histogram ----------
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(25.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Histogram, FractionLeq) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.fraction_leq(5.0), 0.5, 0.01);
-  EXPECT_NEAR(h.fraction_leq(10.0), 1.0, 1e-9);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-  EXPECT_THROW((Histogram{5.0, 1.0, 4}), std::invalid_argument);
 }
 
 // ---------- Cdf ----------
