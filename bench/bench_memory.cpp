@@ -8,8 +8,9 @@
 //     healthy build it is zero.
 //   - flow_churn: flow endpoints constructed + destroyed per second.
 //     Senders and receivers land in the world's per-shard arena and their
-//     hot per-ACK state in the SoA table, so churn cost is the arena
-//     bump-pointer plus a free-list pop, not a malloc round-trip.
+//     hot per-ACK state in the SoA table, so churn cost is an arena and a
+//     hot-slot free-list pop, not a malloc round-trip; the arena's reserve
+//     afterwards shows the storage stayed bounded by one wave.
 //   - large_scale_quick: events/s of the fig08 large-scale scenario at
 //     quick size — the end-to-end number the perf-regression gate tracks,
 //     here with the allocation hook linked to confirm the hook's off-gate
@@ -80,7 +81,8 @@ void bench_steady_state(obs::RunReport& report) {
 
 // Endpoint churn: repeatedly build and tear down a wave of flows against
 // one world. Measures the allocator-facing cost of connection setup now
-// that endpoints are arena-backed and hot state is slot-recycled.
+// that endpoints are arena-backed and both arena blocks and hot state
+// are recycled.
 void bench_flow_churn(obs::RunReport& report) {
   exp::World world;
   topo::ManyToOneConfig cfg;
@@ -100,16 +102,16 @@ void bench_flow_churn(obs::RunReport& report) {
                                                tcp::Protocol::kReno, opts));
     }
     built += flows.size();
-  }  // wave destructs: slots recycle, arena blocks stay resident
+  }  // wave destructs: hot slots and arena blocks recycle
   const double wall = seconds_since(t0);
 
   const mem::SimMemory* m = mem::memory_of(&world.simulator);
   const double arena_bytes =
-      m != nullptr ? static_cast<double>(m->arena.bytes_allocated()) : 0.0;
-  std::printf("flow_churn: %.3g endpoints/s, arena %.3g bytes resident\n",
+      m != nullptr ? static_cast<double>(m->arena.bytes_reserved()) : 0.0;
+  std::printf("flow_churn: %.3g endpoints/s, arena %.3g bytes reserved\n",
               static_cast<double>(built) * 2 / wall, arena_bytes);
   report.add_perf("memory_flow_churn", static_cast<double>(built) * 2 / wall,
-                  {{"arena_resident_bytes", arena_bytes}});
+                  {{"arena_reserved_bytes", arena_bytes}});
 }
 
 // The gate's end-to-end number: the paper's smallest Fig. 8 point (5 ToRs,

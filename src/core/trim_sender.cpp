@@ -35,6 +35,10 @@ TrimSender::TrimSender(net::Host* host, net::NodeId dst, net::FlowId flow,
   if (cfg_.k_override) k_ = *cfg_.k_override;
 }
 
+TrimSender::~TrimSender() {
+  if (probe_timer_.valid()) simulator()->cancel(probe_timer_);
+}
+
 void TrimSender::update_k() {
   if (cfg_.k_override) return;
   k_ = recommended_k(min_rtt_, cfg_.capacity_pps);

@@ -54,6 +54,8 @@ class TrimSender : public tcp::TcpSender {
  public:
   TrimSender(net::Host* host, net::NodeId dst, net::FlowId flow,
              tcp::TcpConfig tcp_cfg, TrimConfig trim_cfg);
+  // Cancels a pending probe timer: its callback captures `this`.
+  ~TrimSender() override;
 
   tcp::Protocol protocol() const override { return tcp::Protocol::kTrim; }
 

@@ -5,12 +5,13 @@
 // two shards never share an allocation cache line.
 //
 // exp::World owns one SimMemory per shard and attaches them in its
-// constructor, so every scenario flow is arena-backed and its storage is
-// freed en masse when the World dies. Bare Simulators (unit tests,
-// microbenches that build flows by hand) fall back to a process-lifetime
-// registry domain created on first use: correctness is identical, the
-// storage just lives until process exit (bounded by the handful of bare
-// simulators a test binary creates).
+// constructor, so every scenario flow is arena-backed: a destroyed
+// endpoint's block is recycled for the next one, and the chunks are freed
+// when the World dies. Bare Simulators (unit tests, microbenches that
+// build flows by hand) fall back to a process-lifetime registry domain
+// created on first use: correctness is identical, the chunks just live
+// until process exit (bounded by the handful of bare simulators a test
+// binary creates).
 #pragma once
 
 #include "mem/arena.hpp"

@@ -15,9 +15,10 @@
 namespace trim::tcp {
 
 // ArenaPtr: the endpoints are carved from their shard's arena (contiguous
-// in creation order, destroyed individually, storage freed en masse with
-// the world). A plain std::make_unique factory still converts — the
-// deleter remembers heap-backed objects and deletes them normally.
+// in creation order; destroying one returns its block for the next
+// endpoint of the same type). A plain std::make_unique factory still
+// converts — the deleter remembers heap-backed objects and deletes them
+// normally.
 struct Flow {
   net::FlowId id = net::kInvalidFlow;
   mem::ArenaPtr<TcpSender> sender;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/trim_sender.hpp"
 #include "tcp/reno.hpp"
 #include "tcp/tcp_receiver.hpp"
@@ -214,6 +216,31 @@ TEST(TrimSender, AblationQueueControlOffNeverDelayBacksOff) {
   EXPECT_EQ(f.sender.stats().delay_backoffs, 0u);
   // Without delay control a single Reno-grown flow overflows the buffer.
   EXPECT_GT(net.data_queue->stats().dropped, 0u);
+}
+
+TEST(TrimSender, DestroyingAProbingSenderCancelsItsProbeTimer) {
+  // Wide path (RTT ~1 ms): the probes of the second train are still in
+  // flight when the sender dies.
+  HostPair net{1'000'000'000, sim::SimTime::micros(500)};
+  tcp::TcpReceiver receiver{&net.b, 1, net.a.id()};
+  auto sender = std::make_unique<TrimSender>(&net.a, net.b.id(), 1,
+                                             tcp::TcpConfig{}, gig_trim());
+  sender->write(300 * 1460);
+  net.sim.run();
+  const auto gap_end = net.sim.now() + sim::SimTime::millis(10);
+  net.sim.schedule_at(gap_end, [&] { sender->write(100 * 1460); });
+  net.sim.run_until(gap_end + sim::SimTime::micros(1));
+  ASSERT_TRUE(sender->probing());
+  ASSERT_TRUE(sender->cc_wakeup_pending());
+  ASSERT_TRUE(sender->retransmit_timer_armed());
+
+  const std::size_t pending = net.sim.pending_events();
+  sender.reset();
+  // Both timers that capture the sender go with it: the RTO and the probe
+  // timer. A stale probe timer would write into freed (or, in an arena,
+  // recycled) storage when it fires.
+  ASSERT_EQ(net.sim.pending_events(), pending - 2);
+  net.sim.run();
 }
 
 TEST(TrimSender, SmoothRttFollowsPaperAlpha) {
