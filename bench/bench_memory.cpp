@@ -1,5 +1,5 @@
-// Memory-architecture benchmark: the numbers the arena/SoA/ring overhaul
-// is gated on. Reports three scenarios into the "perf" section of
+// Memory-architecture benchmark: the numbers the arena/ring overhaul is
+// gated on. Reports three scenarios into the "perf" section of
 // REPORT_memory.json:
 //
 //   - steady_state: events/s over a warm many-to-one window, with the
@@ -7,10 +7,9 @@
 //     This binary links trim_alloc_hook, so the rate is exact — and in a
 //     healthy build it is zero.
 //   - flow_churn: flow endpoints constructed + destroyed per second.
-//     Senders and receivers land in the world's per-shard arena and their
-//     hot per-ACK state in the SoA table, so churn cost is an arena and a
-//     hot-slot free-list pop, not a malloc round-trip; the arena's reserve
-//     afterwards shows the storage stayed bounded by one wave.
+//     Senders and receivers land in the world's per-shard arena, so churn
+//     cost is an arena free-list pop, not a malloc round-trip; the arena's
+//     reserve afterwards shows the storage stayed bounded by one wave.
 //   - large_scale_quick: events/s of the fig08 large-scale scenario at
 //     quick size — the end-to-end number the perf-regression gate tracks,
 //     here with the allocation hook linked to confirm the hook's off-gate
@@ -81,8 +80,7 @@ void bench_steady_state(obs::RunReport& report) {
 
 // Endpoint churn: repeatedly build and tear down a wave of flows against
 // one world. Measures the allocator-facing cost of connection setup now
-// that endpoints are arena-backed and both arena blocks and hot state
-// are recycled.
+// that endpoints are arena-backed and their blocks are recycled.
 void bench_flow_churn(obs::RunReport& report) {
   exp::World world;
   topo::ManyToOneConfig cfg;
@@ -102,7 +100,7 @@ void bench_flow_churn(obs::RunReport& report) {
                                                tcp::Protocol::kReno, opts));
     }
     built += flows.size();
-  }  // wave destructs: hot slots and arena blocks recycle
+  }  // wave destructs: arena blocks recycle
   const double wall = seconds_since(t0);
 
   const mem::SimMemory* m = mem::memory_of(&world.simulator);

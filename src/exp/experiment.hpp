@@ -73,10 +73,10 @@ struct World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  // Declared first so the memory domains (arenas + hot-state tables) are
+  // Declared first so the memory domains (arenas + sender censuses) are
   // destroyed last: every flow endpoint this world created lives in one of
-  // these arenas and releases its hot-table slot from its destructor, so
-  // the domains must outlive the scenario's Flow objects and the engine.
+  // these arenas and every sender leaves its census from its destructor,
+  // so the domains must outlive the scenario's Flow objects and the engine.
   std::vector<std::unique_ptr<mem::SimMemory>> shard_memory;
   // Every bundle outlives its shard's simulator.
   std::vector<std::unique_ptr<obs::Telemetry>> shard_telemetry;

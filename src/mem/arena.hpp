@@ -24,8 +24,8 @@
 //     TcpReceiver (delayed ACK, control retransmit, TIME_WAIT) and
 //     TrimSender (probe timer) do.
 //  2. An arena object is destroyed on its shard's thread, or with the
-//     engine stopped: the free lists are unsynchronized, like the
-//     hot-table slots the same destructors release.
+//     engine stopped: the free lists are unsynchronized, like the sender
+//     census the same destructors update.
 //
 // Under AddressSanitizer a recycled block and each chunk's uncarved tail
 // are poisoned, so a stale pointer into a dead endpoint is reported

@@ -10,7 +10,6 @@
 #include <cstddef>
 
 #include "mem/arena.hpp"
-#include "mem/flow_hot_state.hpp"
 #include "mem/ring_buffer.hpp"
 #include "mem/sim_memory.hpp"
 #include "net/packet.hpp"
@@ -28,14 +27,6 @@ static_assert(sizeof(net::Packet) <= kCacheLineBytes,
 // shared line when World stores them contiguously.
 static_assert(alignof(SimMemory) == kCacheLineBytes,
               "SimMemory must be cache-line aligned");
-
-// --- SoA hot state: per-ACK fields only. One FlowHotState row (the AoS
-// equivalent we split away from) must stay comfortably under a line, and
-// the table hands out 4-byte slots so indices stay cheap in Flow/sender.
-static_assert(sizeof(FlowHotState) <= kCacheLineBytes,
-              "FlowHotState row outgrew a cache line; trim the hot set");
-static_assert(sizeof(FlowHotTable::Slot) == 4,
-              "hot-state slots are 32-bit indices");
 
 // --- Ring buffer: header small enough that a Queue object (ring + stats)
 // stays within two lines; the slab itself is heap-side.

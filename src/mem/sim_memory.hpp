@@ -1,28 +1,47 @@
-// The per-shard memory domain: one arena (flow/sender/receiver objects)
-// plus one FlowHotTable (SoA per-ACK state), attached to that shard's
-// Simulator exactly like obs::Telemetry — any component holding a
-// Simulator* reaches its shard's memory domain without new plumbing, and
-// two shards never share an allocation cache line.
+// The per-shard memory domain: one arena for the flow endpoints (senders
+// and receivers), attached to that shard's Simulator exactly like
+// obs::Telemetry — any component holding a Simulator* reaches its shard's
+// memory domain without new plumbing, and two shards never share an
+// allocation cache line.
 //
 // exp::World owns one SimMemory per shard and attaches them in its
 // constructor, so every scenario flow is arena-backed: a destroyed
 // endpoint's block is recycled for the next one, and the chunks are freed
-// when the World dies. Bare Simulators (unit tests, microbenches that
-// build flows by hand) fall back to a process-lifetime registry domain
-// created on first use: correctness is identical, the chunks just live
-// until process exit (bounded by the handful of bare simulators a test
-// binary creates).
+// when the World dies. A bare Simulator (unit tests, microbenches that
+// build flows by hand) has no domain, and its endpoints live on the heap.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 #include "mem/arena.hpp"
-#include "mem/flow_hot_state.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::mem {
 
+// How many TcpSenders are alive on one shard, and the most that ever were
+// at once. Senders register in their constructor and leave in their
+// destructor.
+class SenderCensus {
+ public:
+  void add() { peak_ = std::max(peak_, ++live_); }
+  void remove() { --live_; }
+  std::size_t live() const { return live_; }
+  // The most senders alive at once.
+  std::size_t capacity() const { return peak_; }
+
+ private:
+  std::size_t live_ = 0;
+  std::size_t peak_ = 0;
+};
+
 struct alignas(64) SimMemory {
   Arena arena;
-  FlowHotTable hot;
+  // The census remains only because perfbench/ reads hot.capacity() (the
+  // member and method names are those of the per-sender state table it
+  // replaced); perfbench is its only reader outside the tests, and it goes
+  // with the next revision of the benchmark.
+  SenderCensus hot;
 
   // Point `sim` at this domain. One domain may serve one simulator;
   // re-attaching replaces the previous pointer (the old domain must
@@ -34,10 +53,5 @@ struct alignas(64) SimMemory {
 inline SimMemory* memory_of(const sim::Simulator* sim) {
   return sim != nullptr ? sim->memory() : nullptr;
 }
-
-// The domain attached to `sim`, creating a registry-backed fallback when
-// none is attached (bare Simulator in a unit test). Thread-safe; the
-// fallback lives until process exit.
-SimMemory& ensure_memory(sim::Simulator& sim);
 
 }  // namespace trim::mem

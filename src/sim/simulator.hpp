@@ -63,8 +63,8 @@ class Simulator {
   obs::Telemetry* telemetry() const { return telemetry_; }
   void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  // The memory domain (arena + SoA hot-state table) backing this world's
-  // flows, or nullptr for bare simulators that never build flows. Set via
+  // The memory domain (the endpoint arena) backing this world's flows, or
+  // nullptr for a bare simulator, whose endpoints live on the heap. Set via
   // mem::SimMemory::attach; opaque here so trim_sim stays free of trim_mem.
   mem::SimMemory* memory() const { return memory_; }
   void set_memory(mem::SimMemory* memory) { memory_ = memory; }

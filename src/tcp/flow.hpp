@@ -1,7 +1,9 @@
 // A Flow owns one TCP sender/receiver pair registered on two hosts under a
-// shared flow id — the "persistent TCP connection" of the paper. The
-// three-way handshake is not simulated: HTTP keeps connections established
-// across requests, so every experiment starts from the established state.
+// shared flow id — the "persistent TCP connection" of the paper. By default
+// the pair starts established, with no handshake: HTTP keeps connections
+// established across requests. With TcpConfig::simulate_handshake on, the
+// sender opens with a SYN and both ends run the full SYN/FIN/RST lifecycle
+// of tcp/lifecycle.hpp (the receiver joins it on the first SYN).
 #pragma once
 
 #include <memory>

@@ -24,7 +24,10 @@ TcpSender::TcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConf
       dst_{dst},
       flow_{flow},
       cfg_{cfg},
-      sim_{host != nullptr ? host->simulator() : nullptr} {
+      sim_{host != nullptr ? host->simulator() : nullptr},
+      cwnd_{cfg.initial_cwnd},
+      ssthresh_{kInitialSsthresh},
+      established_{!cfg.simulate_handshake} {
   if (host_ == nullptr) {
     throw ConfigError{"null host",
                       "TcpSender, flow " + std::to_string(flow_)};
@@ -33,16 +36,12 @@ TcpSender::TcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConf
     throw ConfigError{"zero MSS", "TcpSender, flow " + std::to_string(flow_),
                       ">= 1 byte"};
   }
-  // Claim this flow's SoA slot in the shard's hot-state table (worlds
-  // attach a per-shard domain; bare simulators get a registry fallback),
-  // then seed the window fields that used to be member initializers.
-  hot_ = &mem::ensure_memory(*sim_).hot;
-  slot_ = hot_->acquire(flow_);
-  cwnd_ref() = cfg_.initial_cwnd;
-  ssthresh_ref() = kInitialSsthresh;
-  established_ = !cfg_.simulate_handshake;
   if (cfg_.simulate_handshake) validate(cfg_.lifecycle);
   host_->register_agent(flow_, this);
+  if (mem::SimMemory* m = mem::memory_of(sim_)) {
+    census_ = &m->hot;
+    census_->add();
+  }
 }
 
 TcpSender::~TcpSender() {
@@ -52,7 +51,7 @@ TcpSender::~TcpSender() {
     time_wait_timer_ = sim::EventId{};
   }
   host_->unregister_agent(flow_);
-  hot_->release(slot_);
+  if (census_ != nullptr) census_->remove();
 }
 
 std::uint64_t TcpSender::write(std::uint64_t bytes) {
@@ -248,24 +247,21 @@ void TcpSender::handle_syn_ack(const net::Packet& p) {
     if (lifecycle()) send_handshake_ack();
     return;
   }
+  // Not yet established, so the lifecycle is on (see established_).
   established_ = true;
   ctrl_retries_ = 0;
   rto_backoff_ = 0;
   // ts == 0 marks a receiver-timer retransmission with no fresh timestamp
   // echo (Karn's rule: no RTT sample from a retransmitted exchange).
-  if (!lifecycle() || p.ts > sim::SimTime::zero()) {
-    rtt_ref().add_sample(sim_->now() - p.ts);
-  }
+  if (p.ts > sim::SimTime::zero()) rtt_.add_sample(sim_->now() - p.ts);
   cancel_rto();
-  if (lifecycle()) {
-    lstats_.ever_established = true;
-    lstats_.setup_latency = sim_->now() - syn_first_sent_;
-    set_conn_state(ConnState::kEstablished);
-    obs::emit(sim_, obs::EventKind::kConnEstablished, flow_,
-              lstats_.setup_latency.to_seconds(),
-              static_cast<double>(lstats_.syn_retx));
-    send_handshake_ack();
-  }
+  lstats_.ever_established = true;
+  lstats_.setup_latency = sim_->now() - syn_first_sent_;
+  set_conn_state(ConnState::kEstablished);
+  obs::emit(sim_, obs::EventKind::kConnEstablished, flow_,
+            lstats_.setup_latency.to_seconds(),
+            static_cast<double>(lstats_.syn_retx));
+  send_handshake_ack();
   try_send();
   maybe_send_fin();  // close() may have arrived while the SYN was in flight
 }
@@ -360,7 +356,7 @@ void TcpSender::try_send() {
     const bool retransmission = snd_next() < max_seq_sent_;
     if (!retransmission && !cc_allow_new_segment()) break;
     send_segment(snd_next(), retransmission);
-    ++snd_next_ref();
+    ++snd_next_;
     max_seq_sent_ = std::max(max_seq_sent_, snd_next());
   }
 }
@@ -369,7 +365,7 @@ void TcpSender::force_send_segment(SeqNum seq) {
   assert(seq == snd_next() && seq < total_segments_);
   const bool retransmission = seq < max_seq_sent_;
   send_segment(seq, retransmission);
-  ++snd_next_ref();
+  ++snd_next_;
   max_seq_sent_ = std::max(max_seq_sent_, snd_next());
 }
 
@@ -423,23 +419,20 @@ void TcpSender::arm_rto() {
   obs::emit(sim_, obs::EventKind::kRtoArmed, flow_, rto.to_seconds(),
             static_cast<double>(rto_backoff_));
   rto_timer_ = sim_->schedule(rto, [this] { on_rto(); });
-  hot_->rto_deadline(slot_) = sim_->now() + rto;
 }
 
 void TcpSender::cancel_rto() {
   if (rto_timer_.valid()) {
     sim_->cancel(rto_timer_);
     rto_timer_ = sim::EventId{};
-    hot_->rto_deadline(slot_) = sim::SimTime::max();
   }
 }
 
 void TcpSender::on_rto() {
   rto_timer_ = sim::EventId{};
-  hot_->rto_deadline(slot_) = sim::SimTime::max();
   if (!established_) {  // lost SYN or SYN-ACK: retry the handshake
-    if (lifecycle() && conn_ != ConnState::kSynSent) return;  // aborted
-    if (lifecycle() && ctrl_retries_ >= cfg_.lifecycle.max_syn_retries) {
+    if (conn_ != ConnState::kSynSent) return;  // aborted
+    if (ctrl_retries_ >= cfg_.lifecycle.max_syn_retries) {
       give_up();
       return;
     }
@@ -502,7 +495,7 @@ void TcpSender::on_rto() {
   // Go-back-N: resume from the first unacked segment; the (now tiny)
   // window throttles the refill, and cumulative ACKs from segments the
   // receiver already holds fast-forward snd_una.
-  snd_next_ref() = snd_una();
+  snd_next_ = snd_una_;
   ++rto_backoff_;
   obs::emit(sim_, obs::EventKind::kRtoBackoff, flow_,
             static_cast<double>(rto_backoff_), static_cast<double>(snd_una()));
@@ -527,7 +520,7 @@ void TcpSender::on_packet(const net::Packet& p) {
     return;
   }
 
-  if (lifecycle() && !established_) {
+  if (!established_) {
     // A plain ACK in SYN_SENT acknowledges nothing we sent: answer RST and
     // keep the handshake going. This is the reset half of the
     // SYN-into-established / challenge-ACK interaction — if that ACK was a
@@ -584,7 +577,7 @@ void TcpSender::on_packet(const net::Packet& p) {
 }
 
 void TcpSender::handle_new_ack(const AckEvent& ev) {
-  rtt_ref().add_sample(ev.rtt);
+  rtt_.add_sample(ev.rtt);
   rto_backoff_ = 0;
 
   // Advance byte accounting to the cumulative ACK in O(log outstanding
@@ -592,9 +585,9 @@ void TcpSender::handle_new_ack(const AckEvent& ev) {
   const std::uint64_t acked_upto = bytes_upto(ev.ack_seq);
   stats_.goodput_bytes += acked_upto - acked_bytes_;
   acked_bytes_ = acked_upto;
-  snd_una_ref() = ev.ack_seq;
+  snd_una_ = ev.ack_seq;
   // ACKs can arrive for data beyond a post-RTO go-back-N pointer.
-  snd_next_ref() = std::max(snd_next(), snd_una());
+  snd_next_ = std::max(snd_next_, snd_una_);
   dupacks_ = 0;
 
   if (in_recovery_) {
@@ -694,8 +687,8 @@ void TcpSender::cc_after_send(const net::Packet&, bool) {}
 double TcpSender::clamp_cwnd(double w) const { return std::max(w, cfg_.min_cwnd); }
 
 void TcpSender::set_cwnd(double w) {
-  cwnd_ref() = clamp_cwnd(w);
-  if (cwnd_trace_ != nullptr) cwnd_trace_->record(sim_->now(), cwnd());
+  cwnd_ = clamp_cwnd(w);
+  if (cwnd_trace_ != nullptr) cwnd_trace_->record(sim_->now(), cwnd_);
 }
 
 }  // namespace trim::tcp

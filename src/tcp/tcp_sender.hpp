@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/flow_hot_state.hpp"
 #include "mem/ring_buffer.hpp"
 #include "net/host.hpp"
 #include "net/packet.hpp"
@@ -29,6 +28,10 @@
 #include "stats/time_series.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/tcp_common.hpp"
+
+namespace trim::mem {
+class SenderCensus;  // mem/sim_memory.hpp
+}  // namespace trim::mem
 
 namespace trim::tcp {
 
@@ -92,16 +95,12 @@ class TcpSender : public net::Agent {
   }
 
   // ---- introspection ----
-  // The per-ACK hot fields live in the shard's mem::FlowHotTable (SoA
-  // columns, slot assigned at construction), not in this object; these
-  // accessors read the columns. See mem/flow_hot_state.hpp.
-  double cwnd() const { return hot_->cwnd(slot_); }
-  double ssthresh() const { return hot_->ssthresh(slot_); }
-  SeqNum snd_una() const { return hot_->snd_una(slot_); }
-  SeqNum snd_next() const { return hot_->snd_next(slot_); }
-  std::uint64_t in_flight() const { return snd_next() - snd_una(); }
-  const RttEstimator& rtt() const { return hot_->rtt(slot_); }
-  mem::FlowHotTable::Slot hot_slot() const { return slot_; }
+  double cwnd() const { return cwnd_; }
+  double ssthresh() const { return ssthresh_; }
+  SeqNum snd_una() const { return snd_una_; }
+  SeqNum snd_next() const { return snd_next_; }
+  std::uint64_t in_flight() const { return snd_next_ - snd_una_; }
+  const RttEstimator& rtt() const { return rtt_; }
   net::FlowId flow_id() const { return flow_; }
   const TcpConfig& config() const { return cfg_; }
   stats::FlowStats& stats() { return stats_; }
@@ -157,7 +156,7 @@ class TcpSender : public net::Agent {
   void reno_increase(std::uint64_t newly_acked);
   double clamp_cwnd(double w) const;
   void set_cwnd(double w);
-  void set_ssthresh(double w) { hot_->ssthresh(slot_) = w; }
+  void set_ssthresh(double w) { ssthresh_ = w; }
   sim::Simulator* simulator() const { return sim_; }
   sim::SimTime last_send_time() const { return last_send_time_; }
   bool has_sent() const { return max_seq_sent_ > 0; }
@@ -247,33 +246,33 @@ class TcpSender : public net::Agent {
   void on_rto();
   std::uint64_t window_segments() const;
 
-  // Mutable references into this flow's hot-table slot. Re-resolved per
-  // call: table growth (another flow being created) may move the columns,
-  // so these must never be cached as raw pointers across construction.
-  double& cwnd_ref() { return hot_->cwnd(slot_); }
-  double& ssthresh_ref() { return hot_->ssthresh(slot_); }
-  SeqNum& snd_una_ref() { return hot_->snd_una(slot_); }
-  SeqNum& snd_next_ref() { return hot_->snd_next(slot_); }
-  RttEstimator& rtt_ref() { return hot_->rtt(slot_); }
-
   net::Host* host_;
   net::NodeId dst_;
   net::FlowId flow_;
   TcpConfig cfg_;
   sim::Simulator* sim_;
+  // The shard's live-sender census, or nullptr on a bare simulator.
+  mem::SenderCensus* census_ = nullptr;
 
-  // This shard's hot-state table and our slot in it (acquired in the
-  // constructor, released in the destructor). Holds cwnd / ssthresh /
-  // snd_una / snd_next / the RTT estimator / the RTO deadline.
-  mem::FlowHotTable* hot_ = nullptr;
-  mem::FlowHotTable::Slot slot_ = 0;
+  // The per-ACK state (TCP-TRIM's Algorithms 1-2 read cwnd and the RTT
+  // estimator's smoothed and minimum RTT on every ACK). Every member of
+  // this class is set by a member or constructor initializer: arena
+  // blocks are handed out uninitialized and recycled, never zeroed.
+  double cwnd_;
+  double ssthresh_;
+  SeqNum snd_una_ = 0;
+  SeqNum snd_next_ = 0;
+  RttEstimator rtt_;
 
   SeqNum total_segments_ = 0;
   std::uint64_t bytes_written_ = 0;
   // Compact segment accounting: boundaries of the incomplete messages only.
   mem::RingBuffer<MessageRecord> messages_;
 
-  bool established_ = true;  // false until SYN-ACK when handshake is on
+  // False until the SYN-ACK with the lifecycle on, and again from CLOSED
+  // on; always true with it off (only lifecycle paths clear it). So
+  // `!established_` implies lifecycle() everywhere below.
+  bool established_;
   bool syn_sent_ = false;
 
   // Lifecycle state (untouched unless cfg.simulate_handshake).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -9,7 +10,9 @@
 #include "exp/experiment.hpp"
 #include "mem/arena.hpp"
 #include "mem/sim_memory.hpp"
+#include "net/network.hpp"
 #include "sim/config_error.hpp"
+#include "sim/simulator.hpp"
 #include "topo/many_to_one.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -269,7 +272,8 @@ TEST(ArenaPtr, SecondBaseUpcastReturnsTheBlockStart) {
 
 // Scenario-level churn: connection pairs built and torn down through the
 // protocol factories against one World. Senders (Reno and TRIM) land in
-// the source shard's arena, receivers in the destination's; both recycle.
+// the source shard's arena, receivers in the destination's; both recycle,
+// and the shard's sender census peaks at one wave however many it builds.
 TEST(ArenaChurn, WorldFlowPairsStayInOneChunk) {
   exp::World world;
   topo::ManyToOneConfig cfg;
@@ -292,6 +296,97 @@ TEST(ArenaChurn, WorldFlowPairsStayInOneChunk) {
   EXPECT_EQ(m->arena.object_count(), 2u * 8u * kWaves);
   EXPECT_EQ(m->arena.chunk_count(), 1u);
   EXPECT_EQ(m->arena.bytes_reserved(), Arena::kDefaultChunkBytes);
+  EXPECT_EQ(m->hot.live(), 0u);
+  EXPECT_EQ(m->hot.capacity(), 8u);
+}
+
+// A torn-down sender leaves the shard's census at once, and the next sender
+// built takes its block: the census peak and the arena stay where they
+// were. (That the recycled sender starts clean is RecycledSenderStartsFresh.)
+TEST(ArenaChurn, SenderCensusCountsReleaseAndReuse) {
+  exp::World world;
+  topo::ManyToOneConfig cfg;
+  cfg.num_servers = 3;
+  const auto topo = topo::build_many_to_one(world.network, cfg);
+  core::ProtocolOptions opts;
+  const SimMemory* m = memory_of(&world.simulator);
+  ASSERT_NE(m, nullptr);
+
+  auto a = core::make_protocol_flow(world.network, *topo.servers[0],
+                                    *topo.front_end, tcp::Protocol::kReno, opts);
+  const auto b = core::make_protocol_flow(world.network, *topo.servers[1],
+                                          *topo.front_end, tcp::Protocol::kReno, opts);
+  EXPECT_EQ(m->hot.live(), 2u);
+  EXPECT_EQ(m->hot.capacity(), 2u);
+  const void* block = a.sender.get();
+  const std::size_t reserved = m->arena.bytes_reserved();
+
+  a = {};
+  EXPECT_EQ(m->hot.live(), 1u);
+  EXPECT_EQ(m->hot.capacity(), 2u);
+
+  const auto c = core::make_protocol_flow(world.network, *topo.servers[2],
+                                          *topo.front_end, tcp::Protocol::kReno, opts);
+  EXPECT_EQ(static_cast<const void*>(c.sender.get()), block);
+  EXPECT_EQ(m->hot.live(), 2u);
+  EXPECT_EQ(m->hot.capacity(), 2u);  // no growth: the freed block served it
+  EXPECT_EQ(m->arena.bytes_reserved(), reserved);
+}
+
+// Arena blocks are neither zeroed nor scrubbed when recycled, so a sender
+// carved on a dead one must set its whole per-ACK state from its
+// initializers: a grown window, advanced send pointers, RTT samples or an
+// armed RTO left by the previous owner would leak into the new flow.
+TEST(ArenaChurn, RecycledSenderStartsFresh) {
+  exp::World world;
+  topo::ManyToOneConfig cfg;
+  cfg.num_servers = 2;
+  const auto topo = topo::build_many_to_one(world.network, cfg);
+  core::ProtocolOptions opts;
+
+  auto first = core::make_protocol_flow(world.network, *topo.servers[0],
+                                        *topo.front_end, tcp::Protocol::kReno, opts);
+  first.sender->write(200 * 1460);
+  world.simulator.run_until(sim::SimTime::seconds(1));
+  ASSERT_TRUE(first.sender->idle());
+  ASSERT_GT(first.sender->cwnd(), opts.tcp.initial_cwnd);
+  ASSERT_GT(first.sender->snd_una(), 0u);
+  ASSERT_TRUE(first.sender->rtt().has_sample());
+  ASSERT_FALSE(first.sender.get_deleter().heap());
+  const void* block = first.sender.get();
+  first = {};
+
+  const auto next = core::make_protocol_flow(world.network, *topo.servers[1],
+                                             *topo.front_end, tcp::Protocol::kReno,
+                                             opts);
+  ASSERT_EQ(static_cast<const void*>(next.sender.get()), block);
+  EXPECT_EQ(next.sender->cwnd(), opts.tcp.initial_cwnd);
+  EXPECT_EQ(next.sender->snd_una(), 0u);
+  EXPECT_EQ(next.sender->snd_next(), 0u);
+  EXPECT_FALSE(next.sender->rtt().has_sample());
+  EXPECT_FALSE(next.sender->retransmit_timer_armed());
+}
+
+// A Simulator with no memory domain attached keeps none: every endpoint
+// built on it, not only the first flow's, comes from the heap.
+TEST(BareSimulator, EndpointsAreHeapBacked) {
+  sim::Simulator sim;
+  net::Network network{&sim};
+  topo::ManyToOneConfig cfg;
+  cfg.num_servers = 2;
+  const auto topo = topo::build_many_to_one(network, cfg);
+  core::ProtocolOptions opts;
+
+  std::vector<tcp::Flow> flows;
+  for (net::Host* server : topo.servers) {
+    flows.push_back(core::make_protocol_flow(network, *server, *topo.front_end,
+                                             tcp::Protocol::kReno, opts));
+  }
+  EXPECT_EQ(memory_of(&sim), nullptr);
+  for (const tcp::Flow& f : flows) {
+    EXPECT_TRUE(f.sender.get_deleter().heap()) << "flow " << f.id;
+    EXPECT_TRUE(f.receiver.get_deleter().heap()) << "flow " << f.id;
+  }
 }
 
 }  // namespace
