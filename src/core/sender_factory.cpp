@@ -44,12 +44,16 @@ mem::ArenaPtr<tcp::TcpSender> make_sender(tcp::Protocol protocol, net::Host* src
 tcp::Flow make_protocol_flow(net::Network& network, net::Host& src, net::Host& dst,
                              tcp::Protocol protocol, const ProtocolOptions& opts,
                              tcp::ReceiverConfig receiver_cfg) {
-  return tcp::make_flow(
-      network, src, dst,
-      [&](net::Host* s, net::NodeId d, net::FlowId f) {
-        return make_sender(protocol, s, d, f, opts);
-      },
-      receiver_cfg);
+  tcp::Flow flow;
+  flow.id = network.new_flow_id();
+  // The receiver lives in the destination shard's arena (its callbacks run
+  // on that shard); make_sender uses the source shard's.
+  mem::Arena* arena = nullptr;
+  if (mem::SimMemory* m = mem::memory_of(dst.simulator())) arena = &m->arena;
+  flow.receiver = mem::arena_new<tcp::TcpReceiver>(arena, &dst, flow.id, src.id(),
+                                                   receiver_cfg);
+  flow.sender = make_sender(protocol, &src, dst.id(), flow.id, opts);
+  return flow;
 }
 
 }  // namespace trim::core

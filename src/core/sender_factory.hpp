@@ -33,9 +33,11 @@ mem::ArenaPtr<tcp::TcpSender> make_sender(tcp::Protocol protocol, net::Host* src
                                           net::NodeId dst, net::FlowId flow,
                                           const ProtocolOptions& opts);
 
-// make_flow specialization wiring the factory above. `receiver_cfg`
-// configures the passive side; the default is the legacy pre-established
-// receiver (lifecycle scenarios pass expect_handshake + their knobs).
+// Allocates a flow id from `network`, then constructs the receiver on `dst`
+// (in the destination shard's arena) and the sender on `src` (via
+// make_sender), in that order. `receiver_cfg` configures the passive side;
+// the default is the legacy pre-established receiver (lifecycle scenarios
+// pass expect_handshake + their knobs).
 tcp::Flow make_protocol_flow(net::Network& network, net::Host& src, net::Host& dst,
                              tcp::Protocol protocol, const ProtocolOptions& opts,
                              tcp::ReceiverConfig receiver_cfg = {});

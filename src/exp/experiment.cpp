@@ -119,14 +119,13 @@ World::~World() {
 
 obs::TelemetrySnapshot World::telemetry_snapshot() const {
   publish_engine_metrics();
-  // Merge per-bundle snapshots without their episode lists, then diagnose
-  // the pooled staged stream once: diagnose_episodes() orders it by
-  // content, so the episodes are identical whether the run used one shard
-  // or many (each shard stages its slice of the same global multiset).
-  obs::TelemetrySnapshot snap =
-      shard_telemetry.front()->snapshot(/*diagnose=*/false);
+  // Merge per-bundle snapshots (they carry no episodes), then diagnose the
+  // pooled staged stream once: diagnose_episodes() orders it by content,
+  // so the episodes are identical whether the run used one shard or many
+  // (each shard stages its slice of the same global multiset).
+  obs::TelemetrySnapshot snap = shard_telemetry.front()->snapshot();
   for (std::size_t i = 1; i < shard_telemetry.size(); ++i) {
-    snap.merge(shard_telemetry[i]->snapshot(/*diagnose=*/false));
+    snap.merge(shard_telemetry[i]->snapshot());
   }
   std::vector<obs::RecordedEvent> staged;
   sim::SimTime finalize_at;

@@ -5,9 +5,9 @@
 // here (thread-local records so TRIM_SHARDS>1 workers never contend on a
 // shared counter); the actual operator new/delete replacement lives in
 // alloc_hooks_global.cpp, which is compiled *only* into the binaries that
-// gate allocations (tests/mem, bench_memory) via the trim_alloc_hook
-// OBJECT library — ordinary benches and the figure binaries keep the
-// stock allocator and pay nothing.
+// gate or count allocations (tests/mem, bench_memory, bench_engine_micro)
+// via the trim_alloc_hook OBJECT library — ordinary benches and the figure
+// binaries keep the stock allocator and pay nothing.
 //
 // Usage in a gated binary:
 //   ASSERT_TRUE(mem::alloc_hooks_active());   // hook is linked in

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace trim::obs {
 
@@ -32,340 +35,160 @@ void append_episode_json(std::string& out, const DiagnosedEpisode& e) {
   out += "]}";
 }
 
-namespace detail {
+namespace {
 
-// ---- FlowSet ----
+// A detector's rule: an episode opens once the trailing `window` holds
+// >= min_flows distinct flows and >= min_events triggers, and closes after
+// `quiet` without a trigger.
+struct Thresholds {
+  DetectorKind kind;
+  std::uint64_t triggers;  // the event kinds that count as triggers
+  std::uint32_t min_flows;
+  std::uint32_t min_events;
+  sim::SimTime window;
+  sim::SimTime quiet;
+};
 
-FlowSet::FlowSet(std::size_t capacity_pow2) { slots_.assign(capacity_pow2, 0); }
+// The three detectors, in output order (docs/OBSERVABILITY.md).
+constexpr Thresholds kDetectors[] = {
+    {DetectorKind::kRtoSync, kind_bit(EventKind::kRtoFired), 3, 3,
+     sim::SimTime::millis(100), sim::SimTime::millis(300)},
+    // A backlog drop's subject is the rejecting listener, so one "flow"
+    // suffices and min_events gates on volume instead.
+    {DetectorKind::kBacklogSaturation, kind_bit(EventKind::kBacklogDrop), 1, 4,
+     sim::SimTime::millis(50), sim::SimTime::millis(200)},
+    {DetectorKind::kThroughputCollapse,
+     kind_bit(EventKind::kRtoFired) | kind_bit(EventKind::kFastRetransmit) |
+         kind_bit(EventKind::kTrimQueueCutEq3),
+     3, 3, sim::SimTime::millis(100), sim::SimTime::millis(300)},
+};
 
-std::size_t FlowSet::slot(std::uint32_t flow) const {
-  // Fibonacci hashing spreads sequential flow ids across the table.
-  return (static_cast<std::size_t>(flow + 1) * 2654435761u) &
-         (slots_.size() - 1);
-}
+// throughput_collapse counts a flow as lost on an inherited window when its
+// last Eq. 1 resume came at most this long before its first loss.
+constexpr sim::SimTime kInheritLookback = sim::SimTime::millis(200);
 
-bool FlowSet::insert(std::uint32_t flow) {
-  if (size_ >= slots_.size() / 2) return false;  // refuse: never allocate
-  const std::uint32_t key = flow + 1;
-  std::size_t i = slot(flow);
-  while (slots_[i] != 0) {
-    if (slots_[i] == key) return false;
-    i = (i + 1) & (slots_.size() - 1);
+constexpr bool thresholds_consistent() {
+  std::uint64_t read = kind_bit(EventKind::kTrimResumeEq1);
+  for (const Thresholds& rule : kDetectors) {
+    // The quiet gap that closes an episode outlasts the window, so nothing
+    // from an episode is still in the window when the next trigger comes.
+    if (rule.quiet < rule.window) return false;
+    read |= rule.triggers;
   }
-  slots_[i] = key;
-  ++size_;
-  return true;
+  return read == kDiagnosisKinds;
 }
+static_assert(thresholds_consistent());
 
-bool FlowSet::contains(std::uint32_t flow) const {
-  const std::uint32_t key = flow + 1;
-  std::size_t i = slot(flow);
-  while (slots_[i] != 0) {
-    if (slots_[i] == key) return true;
-    i = (i + 1) & (slots_.size() - 1);
+using ResumeTimes = std::unordered_map<std::uint32_t, sim::SimTime>;
+
+struct Trigger {
+  sim::SimTime at;
+  std::uint32_t flow = 0;
+  bool rst = false;  // backlog drops: answered with RST (b == 1)
+};
+
+// One detector over the sorted stream. Between episodes it slides a window
+// of recent triggers; the trigger that meets the thresholds opens an
+// episode holding the whole window, so `start` is the first event of the
+// burst, not the one that tripped it.
+class Detector {
+ public:
+  Detector(const Thresholds& rule, const ResumeTimes& resumes)
+      : rule_{rule}, resumes_{resumes} {}
+
+  bool triggered_by(EventKind kind) const {
+    return (rule_.triggers & kind_bit(kind)) != 0;
   }
-  return false;
-}
 
-void FlowSet::clear() {
-  std::fill(slots_.begin(), slots_.end(), 0u);
-  size_ = 0;
-}
-
-// ---- FlowTimeMap ----
-
-FlowTimeMap::FlowTimeMap(std::size_t capacity_pow2) {
-  cells_.assign(capacity_pow2, Cell{});
-}
-
-void FlowTimeMap::put(std::uint32_t flow, sim::SimTime at) {
-  const std::uint32_t key = flow + 1;
-  std::size_t i = (static_cast<std::size_t>(key) * 2654435761u) &
-                  (cells_.size() - 1);
-  while (cells_[i].key != 0) {
-    if (cells_[i].key == key) {
-      cells_[i].at = at;
+  void on_trigger(const Trigger& t) {
+    if (open_ && t.at - last_ > rule_.quiet) close(/*still_open=*/false);
+    last_ = t.at;
+    if (open_) {
+      implicate(t);
       return;
     }
-    i = (i + 1) & (cells_.size() - 1);
-  }
-  if (size_ >= cells_.size() / 2) return;  // refuse: never allocate
-  cells_[i] = Cell{key, at};
-  ++size_;
-}
-
-bool FlowTimeMap::get(std::uint32_t flow, sim::SimTime& out) const {
-  const std::uint32_t key = flow + 1;
-  std::size_t i = (static_cast<std::size_t>(key) * 2654435761u) &
-                  (cells_.size() - 1);
-  while (cells_[i].key != 0) {
-    if (cells_[i].key == key) {
-      out = cells_[i].at;
-      return true;
+    window_.push_back(t);
+    ++window_flows_[t.flow];
+    while (window_.front().at < t.at - rule_.window) {
+      const auto it = window_flows_.find(window_.front().flow);
+      if (--it->second == 0) window_flows_.erase(it);
+      window_.pop_front();
     }
-    i = (i + 1) & (cells_.size() - 1);
+    if (window_flows_.size() < rule_.min_flows ||
+        window_.size() < rule_.min_events) {
+      return;
+    }
+    open_ = true;
+    current_ = DiagnosedEpisode{};
+    current_.kind = rule_.kind;
+    current_.start = window_.front().at;
+    flows_.clear();
+    rsts_ = 0;
+    inherited_ = 0;
+    for (const Trigger& w : window_) implicate(w);
+    window_.clear();
+    window_flows_.clear();
   }
-  return false;
-}
 
-// ---- WindowedDetector ----
+  // Closes the episode still open at the end of the stream, then appends
+  // this detector's episodes to `out`.
+  void finish(sim::SimTime at, std::vector<DiagnosedEpisode>& out) {
+    if (open_) close(/*still_open=*/at - last_ <= rule_.quiet);
+    out.insert(out.end(), episodes_.begin(), episodes_.end());
+  }
 
-WindowedDetector::WindowedDetector(DetectorKind kind, std::uint32_t min_flows,
-                                   std::uint32_t min_events,
-                                   sim::SimTime window, sim::SimTime quiet)
-    : kind_{kind},
-      min_flows_{min_flows},
-      min_events_{min_events},
-      window_{window},
-      quiet_{quiet},
-      episode_flows_{1024} {
-  episodes_.reserve(64);
-}
+ private:
+  void implicate(const Trigger& t) {
+    current_.end = t.at;
+    ++current_.events;
+    if (t.rst) ++rsts_;
+    if (!flows_.insert(t.flow).second) return;
+    ++current_.flows;
+    if (current_.sample_count < current_.sample_flows.size()) {
+      current_.sample_flows[current_.sample_count++] = t.flow;
+    }
+    if (rule_.kind == DetectorKind::kThroughputCollapse) {
+      const auto r = resumes_.find(t.flow);
+      if (r != resumes_.end() && r->second <= t.at &&
+          t.at - r->second <= kInheritLookback) {
+        ++inherited_;
+      }
+    }
+  }
 
-std::uint32_t WindowedDetector::distinct_in_window(sim::SimTime now) const {
-  // O(n^2) pairwise scan over at most kRingCap cold-path triggers; keeps
-  // the check allocation free.
-  const sim::SimTime floor = now - window_;
-  std::uint32_t distinct = 0;
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    const Trigger& t = ring_[(ring_head_ + i) % kRingCap];
-    if (t.at < floor) continue;
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      const Trigger& u = ring_[(ring_head_ + j) % kRingCap];
-      if (u.at >= floor && u.flow == t.flow) {
-        seen = true;
+  void close(bool still_open) {
+    const auto events = static_cast<double>(current_.events);
+    const auto flows = static_cast<double>(current_.flows);
+    switch (rule_.kind) {
+      case DetectorKind::kRtoSync:  // fires per flow; >1 = repeated backoff
+        current_.attribution = events / flows;
         break;
-      }
+      case DetectorKind::kBacklogSaturation:  // share answered with RST
+        current_.attribution = static_cast<double>(rsts_) / events;
+        break;
+      case DetectorKind::kThroughputCollapse:  // share on inherited windows
+        current_.attribution = static_cast<double>(inherited_) / flows;
+        break;
     }
-    if (!seen) ++distinct;
-  }
-  return distinct;
-}
-
-void WindowedDetector::open_episode(sim::SimTime at) {
-  in_episode_ = true;
-  current_ = DiagnosedEpisode{};
-  current_.kind = kind_;
-  current_.start = at;  // refined below to the earliest in-window trigger
-  current_.end = at;
-  weight_sum_ = 0.0;
-  implicated_sum_ = 0.0;
-  episode_flows_.clear();
-  // Fold the triggers already inside the window into the episode so its
-  // start is the first event of the burst, not the one that tripped the
-  // threshold.
-  const sim::SimTime floor = at - window_;
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    const Trigger& t = ring_[(ring_head_ + i) % kRingCap];
-    if (t.at < floor) continue;
-    if (t.at < current_.start) current_.start = t.at;
-    if (t.at > current_.end) current_.end = t.at;
-    ++current_.events;
-    weight_sum_ += t.weight;
-    if (episode_flows_.insert(t.flow)) {
-      ++current_.flows;
-      if (current_.sample_count < current_.sample_flows.size()) {
-        current_.sample_flows[current_.sample_count++] = t.flow;
-      }
-      implicated_sum_ += implicate(t.flow, t.at);
-    }
-  }
-}
-
-void WindowedDetector::close_episode(bool still_open) {
-  current_.open = still_open;
-  current_.attribution =
-      finish_attribution(current_, weight_sum_, implicated_sum_);
-  if (episodes_.size() < kMaxEpisodes) {
+    current_.open = still_open;
     episodes_.push_back(current_);
-  } else {
-    ++episodes_dropped_;
-  }
-  in_episode_ = false;
-  episode_flows_.clear();
-}
-
-void WindowedDetector::observe_trigger(sim::SimTime at, std::uint32_t flow,
-                                       double weight) {
-  if (in_episode_ && at - last_trigger_ > quiet_) {
-    close_episode(/*still_open=*/false);
-  }
-  // Ring insert (overwrite oldest when full) happens before the trigger
-  // check so the new event participates in its own window.
-  if (ring_size_ == kRingCap) {
-    ring_[ring_head_] = Trigger{at, flow, weight};
-    ring_head_ = (ring_head_ + 1) % kRingCap;
-  } else {
-    ring_[(ring_head_ + ring_size_) % kRingCap] = Trigger{at, flow, weight};
-    ++ring_size_;
+    open_ = false;
   }
 
-  if (in_episode_) {
-    current_.end = at;
-    ++current_.events;
-    weight_sum_ += weight;
-    if (episode_flows_.insert(flow)) {
-      ++current_.flows;
-      if (current_.sample_count < current_.sample_flows.size()) {
-        current_.sample_flows[current_.sample_count++] = flow;
-      }
-      implicated_sum_ += implicate(flow, at);
-    }
-  } else if (distinct_in_window(at) >= min_flows_) {
-    // Count triggers in the window only after the (cheaper) flow gate.
-    const sim::SimTime floor = at - window_;
-    std::uint32_t in_window = 0;
-    for (std::size_t i = 0; i < ring_size_; ++i) {
-      if (ring_[(ring_head_ + i) % kRingCap].at >= floor) ++in_window;
-    }
-    if (in_window >= min_events_) open_episode(at);
-  }
-  last_trigger_ = at;
-}
+  const Thresholds& rule_;
+  const ResumeTimes& resumes_;
+  std::deque<Trigger> window_;  // the triggers of the trailing window
+  std::unordered_map<std::uint32_t, std::uint32_t> window_flows_;  // per flow
+  bool open_ = false;
+  sim::SimTime last_;  // latest trigger
+  DiagnosedEpisode current_;
+  std::unordered_set<std::uint32_t> flows_;  // the open episode's flows
+  std::uint64_t rsts_ = 0;
+  std::uint32_t inherited_ = 0;
+  std::vector<DiagnosedEpisode> episodes_;
+};
 
-void WindowedDetector::finalize(sim::SimTime at) {
-  if (in_episode_) {
-    close_episode(/*still_open=*/at - last_trigger_ <= quiet_);
-  }
-}
-
-}  // namespace detail
-
-// ---- RtoSyncDetector ----
-
-RtoSyncDetector::RtoSyncDetector() : RtoSyncDetector{Config{}} {}
-
-RtoSyncDetector::RtoSyncDetector(Config cfg)
-    : WindowedDetector{DetectorKind::kRtoSync, cfg.min_flows, cfg.min_flows,
-                       cfg.window, cfg.quiet} {}
-
-std::uint64_t RtoSyncDetector::kind_mask() {
-  return kind_bit(EventKind::kRtoFired);
-}
-
-void RtoSyncDetector::on_event(const RecordedEvent& e) {
-  if (e.kind != EventKind::kRtoFired) return;
-  observe_trigger(e.at, e.subject, /*weight=*/1.0);
-}
-
-double RtoSyncDetector::finish_attribution(const DiagnosedEpisode& e, double,
-                                           double) const {
-  return e.flows == 0 ? 0.0
-                      : static_cast<double>(e.events) /
-                            static_cast<double>(e.flows);
-}
-
-// ---- BacklogSaturationDetector ----
-
-BacklogSaturationDetector::BacklogSaturationDetector()
-    : BacklogSaturationDetector{Config{}} {}
-
-BacklogSaturationDetector::BacklogSaturationDetector(Config cfg)
-    : WindowedDetector{DetectorKind::kBacklogSaturation, /*min_flows=*/1,
-                       cfg.min_drops, cfg.window, cfg.quiet} {}
-
-std::uint64_t BacklogSaturationDetector::kind_mask() {
-  return kind_bit(EventKind::kBacklogDrop);
-}
-
-void BacklogSaturationDetector::on_event(const RecordedEvent& e) {
-  if (e.kind != EventKind::kBacklogDrop) return;
-  // Subject is the rejecting listener; weight marks RST-policy rejects.
-  observe_trigger(e.at, e.subject, /*weight=*/e.b != 0.0 ? 1.0 : 0.0);
-}
-
-double BacklogSaturationDetector::finish_attribution(const DiagnosedEpisode& e,
-                                                     double weight_sum,
-                                                     double) const {
-  return e.events == 0 ? 0.0 : weight_sum / static_cast<double>(e.events);
-}
-
-// ---- ThroughputCollapseDetector ----
-
-ThroughputCollapseDetector::ThroughputCollapseDetector()
-    : ThroughputCollapseDetector{Config{}} {}
-
-ThroughputCollapseDetector::ThroughputCollapseDetector(Config cfg)
-    : WindowedDetector{DetectorKind::kThroughputCollapse, cfg.min_flows,
-                       cfg.min_flows, cfg.window, cfg.quiet},
-      inherit_lookback_{cfg.inherit_lookback},
-      last_resume_{4096} {}
-
-std::uint64_t ThroughputCollapseDetector::kind_mask() {
-  return kind_bit(EventKind::kRtoFired) |
-         kind_bit(EventKind::kFastRetransmit) |
-         kind_bit(EventKind::kTrimQueueCutEq3) |
-         kind_bit(EventKind::kTrimResumeEq1);
-}
-
-void ThroughputCollapseDetector::on_event(const RecordedEvent& e) {
-  switch (e.kind) {
-    case EventKind::kTrimResumeEq1:
-      last_resume_.put(e.subject, e.at);
-      break;
-    case EventKind::kRtoFired:
-    case EventKind::kFastRetransmit:
-    case EventKind::kTrimQueueCutEq3:
-      observe_trigger(e.at, e.subject, /*weight=*/1.0);
-      break;
-    default:
-      break;
-  }
-}
-
-double ThroughputCollapseDetector::implicate(std::uint32_t flow,
-                                             sim::SimTime at) {
-  sim::SimTime resumed;
-  if (last_resume_.get(flow, resumed) && resumed <= at &&
-      at - resumed <= inherit_lookback_) {
-    return 1.0;  // lost right after resuming an inherited window
-  }
-  return 0.0;
-}
-
-double ThroughputCollapseDetector::finish_attribution(
-    const DiagnosedEpisode& e, double, double implicated_sum) const {
-  return e.flows == 0 ? 0.0
-                      : implicated_sum / static_cast<double>(e.flows);
-}
-
-// ---- DetectorSet ----
-
-DetectorSet::DetectorSet() = default;
-
-std::uint64_t DetectorSet::kind_mask() {
-  return RtoSyncDetector::kind_mask() | BacklogSaturationDetector::kind_mask() |
-         ThroughputCollapseDetector::kind_mask();
-}
-
-void DetectorSet::on_event(const RecordedEvent& e) {
-  const std::uint64_t bit = kind_bit(e.kind);
-  if (bit & RtoSyncDetector::kind_mask()) rto_sync_.on_event(e);
-  if (bit & BacklogSaturationDetector::kind_mask()) backlog_.on_event(e);
-  if (bit & ThroughputCollapseDetector::kind_mask()) collapse_.on_event(e);
-}
-
-void DetectorSet::finalize(sim::SimTime at) {
-  rto_sync_.finalize(at);
-  backlog_.finalize(at);
-  collapse_.finalize(at);
-}
-
-std::vector<DiagnosedEpisode> DetectorSet::episodes() const {
-  std::vector<DiagnosedEpisode> out;
-  out.reserve(rto_sync_.episodes().size() + backlog_.episodes().size() +
-              collapse_.episodes().size());
-  for (const auto& e : rto_sync_.episodes()) out.push_back(e);
-  for (const auto& e : backlog_.episodes()) out.push_back(e);
-  for (const auto& e : collapse_.episodes()) out.push_back(e);
-  return out;
-}
-
-std::uint64_t DetectorSet::episodes_dropped() const {
-  return rto_sync_.episodes_dropped() + backlog_.episodes_dropped() +
-         collapse_.episodes_dropped();
-}
+}  // namespace
 
 std::vector<DiagnosedEpisode> diagnose_episodes(
     std::vector<RecordedEvent> events, sim::SimTime finalize_at) {
@@ -377,10 +200,22 @@ std::vector<DiagnosedEpisode> diagnose_episodes(
               if (x.a != y.a) return x.a < y.a;
               return x.b < y.b;
             });
-  DetectorSet detectors;
-  for (const auto& e : events) detectors.on_event(e);
-  detectors.finalize(finalize_at);
-  return detectors.episodes();
+  ResumeTimes resumes;  // each flow's last Eq. 1 resume so far
+  std::vector<Detector> detectors;
+  for (const Thresholds& rule : kDetectors) detectors.emplace_back(rule, resumes);
+  for (const RecordedEvent& e : events) {
+    if (e.kind == EventKind::kTrimResumeEq1) {
+      resumes[e.subject] = e.at;
+      continue;
+    }
+    const Trigger t{e.at, e.subject, e.b != 0.0};
+    for (Detector& d : detectors) {
+      if (d.triggered_by(e.kind)) d.on_trigger(t);
+    }
+  }
+  std::vector<DiagnosedEpisode> episodes;
+  for (Detector& d : detectors) d.finish(finalize_at, episodes);
+  return episodes;
 }
 
 }  // namespace trim::obs

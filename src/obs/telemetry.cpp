@@ -11,7 +11,7 @@ Telemetry::Telemetry() {
   core_.probe_rtt_us = registry_.histogram("trim.probe_rtt_us", 0.0, 5000.0, 50);
   core_.eq3_ep = registry_.histogram("trim.eq3_ep", 0.0, 1.0, 20);
   staged_.reserve(256);
-  sink_mask_ = DetectorSet::kind_mask();
+  sink_mask_ = kDiagnosisKinds;
 }
 
 Telemetry::~Telemetry() = default;
@@ -31,7 +31,7 @@ void Telemetry::dispatch_sinks(sim::SimTime at, EventKind kind,
                                std::uint32_t subject, double a, double b) {
   const RecordedEvent e{at, kind, subject, a, b};
   const std::uint64_t bit = kind_bit(kind);
-  if ((bit & DetectorSet::kind_mask()) != 0) {
+  if ((bit & kDiagnosisKinds) != 0) {
     if (staged_.size() < kMaxStaged) {
       staged_.push_back(e);
     } else {
@@ -43,11 +43,8 @@ void Telemetry::dispatch_sinks(sim::SimTime at, EventKind kind,
   }
 }
 
-TelemetrySnapshot Telemetry::snapshot(bool diagnose) const {
+TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot snap{registry_.snapshot(), recorder_.counts(), {}, {}};
-  if (diagnose) {
-    snap.episodes = diagnose_episodes(staged_, last_event_at_);
-  }
   if (tracer_) {
     snap.spans = tracer_->stats();
   }

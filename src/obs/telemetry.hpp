@@ -1,5 +1,5 @@
 // The per-Simulator telemetry bundle: one MetricsRegistry plus one
-// FlightRecorder plus the diagnosis sinks (collapse-detector staging,
+// FlightRecorder plus the diagnosis sinks (collapse-diagnosis staging,
 // optional span tracer), attached to a Simulator so every component
 // holding a Simulator* can reach all of them without new plumbing.
 //
@@ -11,10 +11,10 @@
 // byte-identical with the bundle present, absent, or traced.
 //
 // Emit sites route through observe(): the recorder always counts, then a
-// single 64-bit mask test decides whether any sink (detectors, tracer)
+// single 64-bit mask test decides whether any sink (diagnosis, tracer)
 // wants the kind — hot kinds stay a count increment plus one AND.
 //
-// The collapse detectors are always on. The one knob is TRIM_TRACE (read
+// Collapse diagnosis is always on. The one knob is TRIM_TRACE (read
 // per bundle at attach, see trace_export.hpp): it adds the span tracer and
 // a kTraceRingEvents ring, whose contents exp::World writes to the run's
 // trace file. Without it the ring stays off unless code calls
@@ -98,29 +98,28 @@ class alignas(64) Telemetry {
 
   // Sinks; both are observational only.
   //
-  // Detectors: detector-masked (cold) events are staged in an append-only
-  // buffer at run time; diagnosis itself is the sorted streaming replay in
-  // diagnose_episodes(), run at snapshot — which is what makes episodes
-  // identical across shard widths (each shard stages its part of one
-  // global event multiset).
+  // Diagnosis: events in kDiagnosisKinds (cold) are staged in an
+  // append-only buffer at run time; diagnosis itself is the sorted
+  // offline pass in diagnose_episodes(), run at snapshot — which is what
+  // makes episodes identical across shard widths (each shard stages its
+  // part of one global event multiset).
   //
   // The span tracer, or nullptr when the bundle was attached untraced.
   SpanTracer* tracer() { return tracer_.get(); }
 
-  // The staged detector stream (unsorted, in arrival order) and how many
+  // The staged diagnosis stream (unsorted, in arrival order) and how many
   // events the staging cap discarded. exp::World pools the staged streams
   // of all shard bundles into one diagnose_episodes() call.
   const std::vector<RecordedEvent>& staged_events() const { return staged_; }
   std::uint64_t staged_dropped() const { return staged_dropped_; }
 
   // Latest event time seen by observe() — the "now" used to finalize
-  // detectors and spans at snapshot/teardown.
+  // diagnosis and spans at snapshot/teardown.
   sim::SimTime last_event_at() const { return last_event_at_; }
 
-  // Rolls everything up. `diagnose` = false skips the episode replay —
-  // exp::World merges per-bundle snapshots and diagnoses the pooled
-  // stream itself, so per-shard episode lists never leak out.
-  TelemetrySnapshot snapshot(bool diagnose = true) const;
+  // Rolls up metrics, event counts and spans. `episodes` stays empty:
+  // exp::World diagnoses the pooled staged stream of all its bundles.
+  TelemetrySnapshot snapshot() const;
 
  private:
   void dispatch_sinks(sim::SimTime at, EventKind kind, std::uint32_t subject,

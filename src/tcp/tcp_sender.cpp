@@ -457,7 +457,7 @@ void TcpSender::on_rto() {
     arm_rto();
     return;
   }
-  if (lifecycle() && fin_sent_ && !fin_acked_) {  // lost FIN (or its ACK)
+  if (fin_sent_ && !fin_acked_) {  // lost FIN (or its ACK)
     if (ctrl_retries_ >= cfg_.lifecycle.max_fin_retries) {
       give_up();
       return;
@@ -538,7 +538,7 @@ void TcpSender::on_packet(const net::Packet& p) {
   ev.is_dup = ev.ack_seq == snd_una() && snd_next() > snd_una();
   ev.newly_acked = ev.ack_seq > snd_una() ? ev.ack_seq - snd_una() : 0;
 
-  if (lifecycle() && fin_sent_ && !fin_acked_ && p.seq >= fin_wire_seq_ + 1) {
+  if (fin_sent_ && !fin_acked_ && p.seq >= fin_wire_seq_ + 1) {
     // Cumulative ack covering our FIN's wire slot.
     fin_acked_ = true;
     ctrl_retries_ = 0;

@@ -278,6 +278,9 @@ class TcpSender : public net::Agent {
   // Lifecycle state (untouched unless cfg.simulate_handshake).
   ConnState conn_ = ConnState::kClosed;
   bool close_requested_ = false;
+  // Set only by send_fin(), reached only through maybe_send_fin() after
+  // close(), which throws with the lifecycle off. So `fin_sent_` implies
+  // lifecycle() everywhere below.
   bool fin_sent_ = false;
   bool fin_acked_ = false;
   SeqNum fin_wire_seq_ = 0;

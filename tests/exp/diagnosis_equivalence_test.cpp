@@ -3,7 +3,9 @@
 // statistics (digest included), and identical event counts for every
 // non-shard event kind. The *simulation* being identical is covered by
 // conn_storm_test; here we pin down that the telemetry derived from it
-// is too.
+// is too. The storm is never partitioned, so all of its events land on
+// shard 0; a fixed event script spread over every shard checks that
+// World pools the shards' staged streams before diagnosing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,8 +16,10 @@
 #include <vector>
 
 #include "exp/connection_storm_scenario.hpp"
+#include "exp/experiment.hpp"
 #include "obs/diagnosis.hpp"
 #include "obs/span_tracer.hpp"
+#include "obs/telemetry.hpp"
 
 namespace trim::exp {
 namespace {
@@ -149,6 +153,76 @@ TEST(DiagnosisEquivalence, TracingOffLeavesResultsIdentical) {
   EXPECT_EQ(with.syn_retx, without.syn_retx);
   EXPECT_EQ(portable_counts(with.telemetry.events),
             portable_counts(without.telemetry.events));
+}
+
+// One fixed diagnosis-event script: a backlog burst on listener 42, Eq. 1
+// resumes on the even flows, then a synchronized loss burst on flows 1-8
+// (RTO fires plus fast retransmits or Eq. 3 cuts) that trips rto_sync and
+// throughput_collapse.
+std::vector<obs::RecordedEvent> diagnosis_script() {
+  using obs::EventKind;
+  const auto at = [](int us) { return sim::SimTime::micros(us); };
+  std::vector<obs::RecordedEvent> script;
+  for (int i = 0; i < 6; ++i) {
+    script.push_back({at(500'000 + 5'000 * i), EventKind::kBacklogDrop, 42,
+                      3.0, i % 2 == 0 ? 1.0 : 0.0});
+  }
+  for (std::uint32_t f = 2; f <= 8; f += 2) {
+    script.push_back({at(900'000 + 1'000 * static_cast<int>(f)),
+                      EventKind::kTrimResumeEq1, f, 6.0, 0.0});
+  }
+  for (std::uint32_t f = 1; f <= 8; ++f) {
+    const int t = 1'000'000 + 2'000 * static_cast<int>(f);
+    script.push_back({at(t), EventKind::kRtoFired, f, 0.0, 0.0});
+    script.push_back({at(t + 1'000),
+                      f % 3 == 0 ? EventKind::kTrimQueueCutEq3
+                                 : EventKind::kFastRetransmit,
+                      f, 0.4, 5.0});
+  }
+  return script;
+}
+
+// Emits the script through obs::emit, event i on shard i % shards, and
+// returns the episodes World diagnoses from the pooled shard stages.
+std::vector<obs::DiagnosedEpisode> diagnose_script(int shards) {
+  World world{shards};
+  int i = 0;
+  for (const obs::RecordedEvent& e : diagnosis_script()) {
+    sim::Simulator& sim = world.engine.shard(i++ % shards);
+    sim.schedule_at(e.at, [&sim, e] {
+      obs::emit(&sim, e.kind, e.subject, e.a, e.b);
+    });
+  }
+  world.run();
+  return world.telemetry_snapshot().episodes;
+}
+
+TEST(DiagnosisEquivalence, ShardStagesPoolIntoOneDiagnosis) {
+  const auto serial = diagnose_script(1);
+  const auto pooled = diagnose_script(4);
+
+  std::size_t by_kind[3] = {};
+  for (const auto& e : serial) ++by_kind[static_cast<std::size_t>(e.kind)];
+  EXPECT_EQ(by_kind[static_cast<std::size_t>(obs::DetectorKind::kRtoSync)], 1u);
+  EXPECT_EQ(by_kind[static_cast<std::size_t>(
+                obs::DetectorKind::kBacklogSaturation)],
+            1u);
+  EXPECT_EQ(by_kind[static_cast<std::size_t>(
+                obs::DetectorKind::kThroughputCollapse)],
+            1u);
+  for (const auto& e : serial) {
+    // Half the rejections were RSTs, and the even flows' resumes (staged
+    // on other shards than their losses at width 4) implicate half the
+    // collapsing flows.
+    if (e.kind != obs::DetectorKind::kRtoSync) {
+      EXPECT_DOUBLE_EQ(e.attribution, 0.5) << obs::to_string(e.kind);
+    }
+  }
+
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t j = 0; j < serial.size(); ++j) {
+    EXPECT_TRUE(same_episode(pooled[j], serial[j])) << "episode " << j;
+  }
 }
 
 }  // namespace

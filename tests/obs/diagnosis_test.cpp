@@ -1,6 +1,7 @@
-// Collapse-detector unit tests: synthetic event streams with known
-// episodes through each detector, plus the order-independence of the
-// diagnose_episodes() replay entry point.
+// Collapse-diagnosis unit tests: synthetic event streams with known
+// episodes through diagnose_episodes(), read one detector kind at a time,
+// plus the pass's order independence and its lack of caps on flows,
+// window triggers and resumes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,17 +19,31 @@ RecordedEvent ev(double t, EventKind kind, std::uint32_t subject,
   return RecordedEvent{sim::SimTime::seconds(t), kind, subject, a, b};
 }
 
+// The episodes of one detector kind that diagnose_episodes() finds in
+// `events`, finalizing at `finalize_s`, in diagnosis order.
+std::vector<DiagnosedEpisode> diagnosed(DetectorKind kind,
+                                        std::vector<RecordedEvent> events,
+                                        double finalize_s) {
+  std::vector<DiagnosedEpisode> out;
+  for (const auto& e : diagnose_episodes(std::move(events),
+                                         sim::SimTime::seconds(finalize_s))) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
 // ---- rto_sync ----
 
 TEST(RtoSyncDetector, ThreeFlowsInWindowOpenOneBoundedEpisode) {
-  RtoSyncDetector d;  // min_flows 3, window 100 ms, quiet 300 ms
-  d.on_event(ev(1.000, EventKind::kRtoFired, 1));
-  d.on_event(ev(1.010, EventKind::kRtoFired, 2));
-  d.on_event(ev(1.020, EventKind::kRtoFired, 3));
-  d.finalize(sim::SimTime::seconds(1.5));  // past the quiet gap
+  // min_flows 3, window 100 ms, quiet 300 ms; finalized past the quiet gap.
+  const auto d = diagnosed(DetectorKind::kRtoSync,
+                           {ev(1.000, EventKind::kRtoFired, 1),
+                            ev(1.010, EventKind::kRtoFired, 2),
+                            ev(1.020, EventKind::kRtoFired, 3)},
+                           1.5);
 
-  ASSERT_EQ(d.episodes().size(), 1u);
-  const DiagnosedEpisode& e = d.episodes().front();
+  ASSERT_EQ(d.size(), 1u);
+  const DiagnosedEpisode& e = d.front();
   EXPECT_EQ(e.kind, DetectorKind::kRtoSync);
   // The episode starts at the first event of the burst, not the one that
   // tripped the threshold.
@@ -42,27 +57,27 @@ TEST(RtoSyncDetector, ThreeFlowsInWindowOpenOneBoundedEpisode) {
 }
 
 TEST(RtoSyncDetector, TwoFlowsNeverTrigger) {
-  RtoSyncDetector d;
+  std::vector<RecordedEvent> events;
   for (int burst = 0; burst < 5; ++burst) {
     const double t = 1.0 + burst;
-    d.on_event(ev(t, EventKind::kRtoFired, 1));
-    d.on_event(ev(t + 0.01, EventKind::kRtoFired, 2));
+    events.push_back(ev(t, EventKind::kRtoFired, 1));
+    events.push_back(ev(t + 0.01, EventKind::kRtoFired, 2));
   }
-  d.finalize(sim::SimTime::seconds(10.0));
-  EXPECT_TRUE(d.episodes().empty());
+  EXPECT_TRUE(diagnosed(DetectorKind::kRtoSync, events, 10.0).empty());
 }
 
 TEST(RtoSyncDetector, RepeatedFiresRaiseAttributionAboveOne) {
-  RtoSyncDetector d;
-  d.on_event(ev(1.000, EventKind::kRtoFired, 1));
-  d.on_event(ev(1.010, EventKind::kRtoFired, 2));
-  d.on_event(ev(1.020, EventKind::kRtoFired, 3));
-  d.on_event(ev(1.050, EventKind::kRtoFired, 1));  // second backoff round
-  d.on_event(ev(1.060, EventKind::kRtoFired, 2));
-  d.finalize(sim::SimTime::seconds(2.0));
+  const auto d = diagnosed(DetectorKind::kRtoSync,
+                           {ev(1.000, EventKind::kRtoFired, 1),
+                            ev(1.010, EventKind::kRtoFired, 2),
+                            ev(1.020, EventKind::kRtoFired, 3),
+                            // second backoff round
+                            ev(1.050, EventKind::kRtoFired, 1),
+                            ev(1.060, EventKind::kRtoFired, 2)},
+                           2.0);
 
-  ASSERT_EQ(d.episodes().size(), 1u);
-  const DiagnosedEpisode& e = d.episodes().front();
+  ASSERT_EQ(d.size(), 1u);
+  const DiagnosedEpisode& e = d.front();
   EXPECT_EQ(e.flows, 3u);
   EXPECT_EQ(e.events, 5u);
   EXPECT_DOUBLE_EQ(e.end.to_seconds(), 1.060);
@@ -70,49 +85,49 @@ TEST(RtoSyncDetector, RepeatedFiresRaiseAttributionAboveOne) {
 }
 
 TEST(RtoSyncDetector, QuietGapSplitsBurstsIntoSeparateEpisodes) {
-  RtoSyncDetector d;
+  std::vector<RecordedEvent> events;
   for (std::uint32_t f = 1; f <= 3; ++f) {
-    d.on_event(ev(1.0 + 0.01 * f, EventKind::kRtoFired, f));
+    events.push_back(ev(1.0 + 0.01 * f, EventKind::kRtoFired, f));
   }
   // 0.97 s of silence, then a second synchronized burst.
   for (std::uint32_t f = 4; f <= 6; ++f) {
-    d.on_event(ev(2.0 + 0.01 * f, EventKind::kRtoFired, f));
+    events.push_back(ev(2.0 + 0.01 * f, EventKind::kRtoFired, f));
   }
-  d.finalize(sim::SimTime::seconds(3.0));
+  const auto d = diagnosed(DetectorKind::kRtoSync, events, 3.0);
 
-  ASSERT_EQ(d.episodes().size(), 2u);
-  EXPECT_DOUBLE_EQ(d.episodes()[0].start.to_seconds(), 1.01);
-  EXPECT_DOUBLE_EQ(d.episodes()[0].end.to_seconds(), 1.03);
-  EXPECT_FALSE(d.episodes()[0].open);
-  EXPECT_DOUBLE_EQ(d.episodes()[1].start.to_seconds(), 2.04);
-  EXPECT_DOUBLE_EQ(d.episodes()[1].end.to_seconds(), 2.06);
-  EXPECT_EQ(d.episodes()[1].flows, 3u);
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_DOUBLE_EQ(d[0].start.to_seconds(), 1.01);
+  EXPECT_DOUBLE_EQ(d[0].end.to_seconds(), 1.03);
+  EXPECT_FALSE(d[0].open);
+  EXPECT_DOUBLE_EQ(d[1].start.to_seconds(), 2.04);
+  EXPECT_DOUBLE_EQ(d[1].end.to_seconds(), 2.06);
+  EXPECT_EQ(d[1].flows, 3u);
 }
 
 TEST(RtoSyncDetector, RunEndingMidEpisodeMarksItOpen) {
-  RtoSyncDetector d;
-  d.on_event(ev(1.000, EventKind::kRtoFired, 1));
-  d.on_event(ev(1.010, EventKind::kRtoFired, 2));
-  d.on_event(ev(1.020, EventKind::kRtoFired, 3));
-  d.finalize(sim::SimTime::seconds(1.1));  // inside the quiet window
-  ASSERT_EQ(d.episodes().size(), 1u);
-  EXPECT_TRUE(d.episodes().front().open);
+  const auto d = diagnosed(DetectorKind::kRtoSync,
+                           {ev(1.000, EventKind::kRtoFired, 1),
+                            ev(1.010, EventKind::kRtoFired, 2),
+                            ev(1.020, EventKind::kRtoFired, 3)},
+                           1.1);  // inside the quiet window
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_TRUE(d.front().open);
 }
 
 // ---- backlog_saturation ----
 
 TEST(BacklogSaturationDetector, VolumeGateAndRstFractionAttribution) {
-  BacklogSaturationDetector d;  // min_drops 4, window 50 ms, quiet 200 ms
-  // One listener (subject 42); alternate RST-policy (b=1) and silent
-  // drops (b=0).
-  d.on_event(ev(1.000, EventKind::kBacklogDrop, 42, 2.0, 1.0));
-  d.on_event(ev(1.010, EventKind::kBacklogDrop, 42, 2.0, 0.0));
-  d.on_event(ev(1.020, EventKind::kBacklogDrop, 42, 2.0, 1.0));
-  d.on_event(ev(1.030, EventKind::kBacklogDrop, 42, 2.0, 0.0));
-  d.finalize(sim::SimTime::seconds(2.0));
+  // min_drops 4, window 50 ms, quiet 200 ms. One listener (subject 42);
+  // alternate RST-policy (b=1) and silent drops (b=0).
+  const auto d = diagnosed(DetectorKind::kBacklogSaturation,
+                           {ev(1.000, EventKind::kBacklogDrop, 42, 2.0, 1.0),
+                            ev(1.010, EventKind::kBacklogDrop, 42, 2.0, 0.0),
+                            ev(1.020, EventKind::kBacklogDrop, 42, 2.0, 1.0),
+                            ev(1.030, EventKind::kBacklogDrop, 42, 2.0, 0.0)},
+                           2.0);
 
-  ASSERT_EQ(d.episodes().size(), 1u);
-  const DiagnosedEpisode& e = d.episodes().front();
+  ASSERT_EQ(d.size(), 1u);
+  const DiagnosedEpisode& e = d.front();
   EXPECT_EQ(e.kind, DetectorKind::kBacklogSaturation);
   EXPECT_DOUBLE_EQ(e.start.to_seconds(), 1.000);
   EXPECT_DOUBLE_EQ(e.end.to_seconds(), 1.030);
@@ -123,39 +138,38 @@ TEST(BacklogSaturationDetector, VolumeGateAndRstFractionAttribution) {
 }
 
 TEST(BacklogSaturationDetector, BelowMinDropsStaysQuiet) {
-  BacklogSaturationDetector d;
-  d.on_event(ev(1.000, EventKind::kBacklogDrop, 42, 2.0, 1.0));
-  d.on_event(ev(1.010, EventKind::kBacklogDrop, 42, 2.0, 1.0));
-  d.on_event(ev(1.020, EventKind::kBacklogDrop, 42, 2.0, 1.0));
-  d.finalize(sim::SimTime::seconds(2.0));
-  EXPECT_TRUE(d.episodes().empty());
+  EXPECT_TRUE(diagnosed(DetectorKind::kBacklogSaturation,
+                        {ev(1.000, EventKind::kBacklogDrop, 42, 2.0, 1.0),
+                         ev(1.010, EventKind::kBacklogDrop, 42, 2.0, 1.0),
+                         ev(1.020, EventKind::kBacklogDrop, 42, 2.0, 1.0)},
+                        2.0)
+                  .empty());
 }
 
 TEST(BacklogSaturationDetector, SpreadOutDropsNeverFillTheWindow) {
-  BacklogSaturationDetector d;
   // Four drops, but 100 ms apart — never 4 inside one 50 ms window.
+  std::vector<RecordedEvent> events;
   for (int i = 0; i < 4; ++i) {
-    d.on_event(ev(1.0 + 0.1 * i, EventKind::kBacklogDrop, 42, 2.0, 1.0));
+    events.push_back(ev(1.0 + 0.1 * i, EventKind::kBacklogDrop, 42, 2.0, 1.0));
   }
-  d.finalize(sim::SimTime::seconds(2.0));
-  EXPECT_TRUE(d.episodes().empty());
+  EXPECT_TRUE(diagnosed(DetectorKind::kBacklogSaturation, events, 2.0).empty());
 }
 
 // ---- throughput_collapse ----
 
 TEST(ThroughputCollapseDetector, InheritedWindowAttributionFromResumes) {
-  ThroughputCollapseDetector d;  // min_flows 3, lookback 200 ms
-  // Flows 1 and 2 resume an Eq. 1 window just before the loss burst;
-  // flow 3 collapses without a recent resume.
-  d.on_event(ev(0.950, EventKind::kTrimResumeEq1, 1, 6.0));
-  d.on_event(ev(0.960, EventKind::kTrimResumeEq1, 2, 8.0));
-  d.on_event(ev(1.000, EventKind::kRtoFired, 1));
-  d.on_event(ev(1.010, EventKind::kFastRetransmit, 2));
-  d.on_event(ev(1.020, EventKind::kTrimQueueCutEq3, 3, 0.4, 5.0));
-  d.finalize(sim::SimTime::seconds(2.0));
+  // min_flows 3, lookback 200 ms. Flows 1 and 2 resume an Eq. 1 window
+  // just before the loss burst; flow 3 collapses without a recent resume.
+  const auto d = diagnosed(DetectorKind::kThroughputCollapse,
+                           {ev(0.950, EventKind::kTrimResumeEq1, 1, 6.0),
+                            ev(0.960, EventKind::kTrimResumeEq1, 2, 8.0),
+                            ev(1.000, EventKind::kRtoFired, 1),
+                            ev(1.010, EventKind::kFastRetransmit, 2),
+                            ev(1.020, EventKind::kTrimQueueCutEq3, 3, 0.4, 5.0)},
+                           2.0);
 
-  ASSERT_EQ(d.episodes().size(), 1u);
-  const DiagnosedEpisode& e = d.episodes().front();
+  ASSERT_EQ(d.size(), 1u);
+  const DiagnosedEpisode& e = d.front();
   EXPECT_EQ(e.kind, DetectorKind::kThroughputCollapse);
   EXPECT_DOUBLE_EQ(e.start.to_seconds(), 1.000);
   EXPECT_DOUBLE_EQ(e.end.to_seconds(), 1.020);
@@ -165,27 +179,27 @@ TEST(ThroughputCollapseDetector, InheritedWindowAttributionFromResumes) {
 }
 
 TEST(ThroughputCollapseDetector, StaleResumeDoesNotImplicate) {
-  ThroughputCollapseDetector d;
   // The resume is 0.5 s before the loss — beyond the 200 ms lookback.
-  d.on_event(ev(0.500, EventKind::kTrimResumeEq1, 1, 6.0));
-  d.on_event(ev(1.000, EventKind::kRtoFired, 1));
-  d.on_event(ev(1.010, EventKind::kRtoFired, 2));
-  d.on_event(ev(1.020, EventKind::kRtoFired, 3));
-  d.finalize(sim::SimTime::seconds(2.0));
-  ASSERT_EQ(d.episodes().size(), 1u);
-  EXPECT_DOUBLE_EQ(d.episodes().front().attribution, 0.0);
+  const auto d = diagnosed(DetectorKind::kThroughputCollapse,
+                           {ev(0.500, EventKind::kTrimResumeEq1, 1, 6.0),
+                            ev(1.000, EventKind::kRtoFired, 1),
+                            ev(1.010, EventKind::kRtoFired, 2),
+                            ev(1.020, EventKind::kRtoFired, 3)},
+                           2.0);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_DOUBLE_EQ(d.front().attribution, 0.0);
 }
 
 TEST(ThroughputCollapseDetector, ResumesAloneAreNotLossSignals) {
-  ThroughputCollapseDetector d;
+  std::vector<RecordedEvent> events;
   for (std::uint32_t f = 1; f <= 6; ++f) {
-    d.on_event(ev(1.0 + 0.01 * f, EventKind::kTrimResumeEq1, f, 6.0));
+    events.push_back(ev(1.0 + 0.01 * f, EventKind::kTrimResumeEq1, f, 6.0));
   }
-  d.finalize(sim::SimTime::seconds(2.0));
-  EXPECT_TRUE(d.episodes().empty());
+  EXPECT_TRUE(
+      diagnosed(DetectorKind::kThroughputCollapse, events, 2.0).empty());
 }
 
-// ---- diagnose_episodes / DetectorSet ----
+// ---- diagnose_episodes ----
 
 std::vector<RecordedEvent> mixed_pathology() {
   std::vector<RecordedEvent> events;
@@ -264,6 +278,74 @@ TEST(DiagnosedEpisode, JsonCarriesKindBoundsAndAttribution) {
   EXPECT_NE(out.find("\"start\": "), std::string::npos);
   EXPECT_NE(out.find("\"attribution\": "), std::string::npos);
   EXPECT_NE(out.find("\"sample_flows\": ["), std::string::npos);
+}
+
+// ---- no caps: every flow, trigger and resume counts ----
+
+TEST(DiagnoseEpisodes, EveryFlowOfALargeEpisodeCounts) {
+  // 600 flows fire one RTO each inside a 60 ms burst; the upper half
+  // resumed an Eq. 1 window 50 ms before it.
+  std::vector<RecordedEvent> events;
+  for (std::uint32_t f = 0; f < 600; ++f) {
+    if (f >= 300) events.push_back(ev(0.950, EventKind::kTrimResumeEq1, f, 6.0));
+    events.push_back(ev(1.0 + 0.0001 * f, EventKind::kRtoFired, f));
+  }
+  const auto episodes = diagnose_episodes(events, sim::SimTime::seconds(2.0));
+
+  ASSERT_EQ(episodes.size(), 2u);  // rto_sync + throughput_collapse
+  for (const auto& e : episodes) {
+    EXPECT_EQ(e.flows, 600u) << to_string(e.kind);
+    EXPECT_EQ(e.events, 600u) << to_string(e.kind);
+    ASSERT_EQ(e.sample_count, 8u);
+    for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(e.sample_flows[i], i);
+  }
+  EXPECT_EQ(episodes[0].kind, DetectorKind::kRtoSync);
+  EXPECT_DOUBLE_EQ(episodes[0].attribution, 1.0);  // one fire per flow
+  EXPECT_EQ(episodes[1].kind, DetectorKind::kThroughputCollapse);
+  EXPECT_DOUBLE_EQ(episodes[1].attribution, 0.5);  // the resumed half
+}
+
+TEST(DiagnoseEpisodes, OpeningWindowKeepsEveryTrigger) {
+  // Flow 1 fires 300 times inside 90 ms before flows 2 and 3 complete the
+  // rto_sync threshold: the episode starts at flow 1's first fire and
+  // holds all 302.
+  std::vector<RecordedEvent> events;
+  for (int i = 0; i < 300; ++i) {
+    events.push_back(ev(1.0 + 0.0003 * i, EventKind::kRtoFired, 1, i));
+  }
+  events.push_back(ev(1.090, EventKind::kRtoFired, 2));
+  events.push_back(ev(1.095, EventKind::kRtoFired, 3));
+  const auto d = diagnosed(DetectorKind::kRtoSync, events, 2.0);
+
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_DOUBLE_EQ(d[0].start.to_seconds(), 1.000);
+  EXPECT_DOUBLE_EQ(d[0].end.to_seconds(), 1.095);
+  EXPECT_EQ(d[0].events, 302u);
+  EXPECT_EQ(d[0].flows, 3u);
+  EXPECT_DOUBLE_EQ(d[0].attribution, 302.0 / 3.0);
+}
+
+TEST(DiagnoseEpisodes, EveryResumedFlowIsAttributedInAnyLossOrder) {
+  // 3,000 flows resume an Eq. 1 window over 30 ms; each then loses 50 to
+  // 110 ms after its resume, in flow order or in a fixed permutation.
+  constexpr std::uint32_t kFlows = 3000;
+  for (const bool permuted : {false, true}) {
+    std::vector<RecordedEvent> events;
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+      events.push_back(RecordedEvent{sim::SimTime::micros(1'000'000 + 10 * i),
+                                     EventKind::kTrimResumeEq1, i, 6.0, 0.0});
+      const std::uint32_t loser = permuted ? (i * 7919u) % kFlows : i;
+      events.push_back(RecordedEvent{sim::SimTime::micros(1'080'000 + 10 * i),
+                                     EventKind::kFastRetransmit, loser, 0.0,
+                                     0.0});
+    }
+    const auto d = diagnosed(DetectorKind::kThroughputCollapse, events, 2.0);
+
+    ASSERT_EQ(d.size(), 1u) << "permuted " << permuted;
+    EXPECT_EQ(d[0].flows, kFlows) << "permuted " << permuted;
+    EXPECT_EQ(d[0].events, kFlows) << "permuted " << permuted;
+    EXPECT_DOUBLE_EQ(d[0].attribution, 1.0) << "permuted " << permuted;
+  }
 }
 
 }  // namespace
