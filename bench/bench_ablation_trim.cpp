@@ -36,7 +36,7 @@ AblationOutcome run_ablated(bool probe, bool queue_control, std::uint64_t seed) 
   const auto topo = build_many_to_one(world.network, topo_cfg);
 
   stats::TimeSeries queue_trace;
-  topo.bottleneck->queue().set_length_trace(&queue_trace, &world.simulator);
+  topo.bottleneck->queue().set_length_trace(&queue_trace);
 
   core::ProtocolOptions opts;
   opts.trim = core::TrimConfig::for_link(topo_cfg.link_bps, opts.tcp.mss);
@@ -155,7 +155,7 @@ int main() {
     topo::ManyToOneConfig topo_cfg;
     const auto topo = build_many_to_one(world.network, topo_cfg);
     stats::TimeSeries queue_trace;
-    topo.bottleneck->queue().set_length_trace(&queue_trace, &world.simulator);
+    topo.bottleneck->queue().set_length_trace(&queue_trace);
 
     core::ProtocolOptions opts;
     opts.trim.capacity_pps = c_pps;

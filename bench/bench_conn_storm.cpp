@@ -140,9 +140,11 @@ int main() {
 
     // Scenario-recorded setup-latency histogram (ms), summarized by the
     // shared percentile helper instead of per-bench CDF math.
-    const auto* setup_h = obs::find_histogram(r.telemetry.metrics, "conn.setup_ms");
-    const obs::Percentiles setup =
-        setup_h != nullptr ? obs::percentiles(*setup_h) : obs::Percentiles{};
+    const auto& hists = r.telemetry.metrics.histograms;
+    const auto setup_h = hists.find("conn.setup_ms");
+    const obs::Percentiles setup = setup_h != hists.end()
+                                       ? obs::percentiles(setup_h->second)
+                                       : obs::Percentiles{};
 
     const std::size_t ep_rto =
         episode_count(r.telemetry, obs::DetectorKind::kRtoSync);

@@ -40,7 +40,7 @@ int main() {
     const auto topo = build_many_to_one(world.network, topo_cfg);
 
     stats::TimeSeries queue_trace;
-    topo.bottleneck->queue().set_length_trace(&queue_trace, &world.simulator);
+    topo.bottleneck->queue().set_length_trace(&queue_trace);
     stats::RateMeter goodput{sim::SimTime::millis(10)};
 
     const auto opts = exp::default_options(tcp::Protocol::kTrim, topo_cfg.link_bps,

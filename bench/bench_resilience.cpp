@@ -175,10 +175,11 @@ int main() {
       // auditable from the JSON alone: how many losses/reorders/etc. were
       // actually injected and how the transport reacted (probes, RTO fires).
       const auto& ev = r.telemetry.events;
-      const auto* setup_h =
-          obs::find_histogram(r.telemetry.metrics, "conn.setup_ms");
-      const obs::Percentiles setup =
-          setup_h != nullptr ? obs::percentiles(*setup_h) : obs::Percentiles{};
+      const auto& hists = r.telemetry.metrics.histograms;
+      const auto setup_h = hists.find("conn.setup_ms");
+      const obs::Percentiles setup = setup_h != hists.end()
+                                         ? obs::percentiles(setup_h->second)
+                                         : obs::Percentiles{};
       report.add_row(
           profile.name + "/" + tcp::to_string(protocol),
           {{"goodput_mbps", r.goodput_mbps},

@@ -28,7 +28,7 @@ ImpairmentResult run_impairment(const ImpairmentConfig& cfg) {
   const auto topo = build_many_to_one(world.network, topo_cfg);
 
   ImpairmentResult result;
-  topo.bottleneck->queue().set_length_trace(&result.queue_trace, &world.simulator);
+  topo.bottleneck->queue().set_length_trace(&result.queue_trace);
   stats::RateMeter meter{sim::SimTime::millis(10)};
   topo.bottleneck->set_delivery_meter(&meter);
 

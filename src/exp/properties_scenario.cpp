@@ -25,7 +25,7 @@ PropertiesResult run_properties(const PropertiesConfig& cfg) {
   const auto topo = build_many_to_one(world.network, topo_cfg);
 
   PropertiesResult result;
-  topo.bottleneck->queue().set_length_trace(&result.queue_trace, &world.simulator);
+  topo.bottleneck->queue().set_length_trace(&result.queue_trace);
 
   const auto opts = default_options(cfg.protocol, topo_cfg.link_bps, cfg.min_rto);
 

@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #if defined(__GLIBC__)
 #include <execinfo.h>
@@ -14,42 +11,19 @@ namespace trim::mem {
 
 namespace {
 
-// One record per allocating thread, cache-line sized so two workers never
-// bounce a line between cores while counting a sharded run.
-struct alignas(64) ThreadRecord {
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> frees{0};
-  std::atomic<std::uint64_t> bytes{0};
-};
+// Process-wide totals. Relaxed atomics: each count is exact once the
+// counting threads are joined, and nothing is ordered by them.
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 std::atomic<bool> g_hooks_linked{false};
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint32_t> g_trace_budget{0};
 
-std::mutex g_records_mu;
-std::vector<std::unique_ptr<ThreadRecord>>& records() {
-  static auto* v = new std::vector<std::unique_ptr<ThreadRecord>>;
-  return *v;
-}
-
-// Guards against counting the allocations made while registering a
-// thread's own record (vector growth, the record itself).
+// Set while this thread prints an allocation backtrace, whose own
+// allocations must not be counted (or traced again).
 thread_local bool t_in_hook = false;
-thread_local ThreadRecord* t_record = nullptr;
-
-ThreadRecord* my_record() noexcept {
-  if (t_record == nullptr) {
-    t_in_hook = true;
-    auto rec = std::make_unique<ThreadRecord>();
-    t_record = rec.get();
-    {
-      const std::lock_guard<std::mutex> lock{g_records_mu};
-      records().push_back(std::move(rec));
-    }
-    t_in_hook = false;
-  }
-  return t_record;
-}
 
 }  // namespace
 
@@ -62,28 +36,15 @@ void set_alloc_counting(bool on) {
 bool alloc_counting() { return g_counting.load(std::memory_order_relaxed); }
 
 void reset_alloc_counts() {
-  const std::lock_guard<std::mutex> lock{g_records_mu};
-  for (auto& r : records()) {
-    r->allocs.store(0, std::memory_order_relaxed);
-    r->frees.store(0, std::memory_order_relaxed);
-    r->bytes.store(0, std::memory_order_relaxed);
-  }
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_frees.store(0, std::memory_order_relaxed);
+  g_bytes.store(0, std::memory_order_relaxed);
 }
 
 AllocTotals alloc_totals() {
-  AllocTotals t;
-  const std::lock_guard<std::mutex> lock{g_records_mu};
-  for (auto& r : records()) {
-    t.allocs += r->allocs.load(std::memory_order_relaxed);
-    t.frees += r->frees.load(std::memory_order_relaxed);
-    t.bytes += r->bytes.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::size_t alloc_tracked_threads() {
-  const std::lock_guard<std::mutex> lock{g_records_mu};
-  return records().size();
+  return {g_allocs.load(std::memory_order_relaxed),
+          g_frees.load(std::memory_order_relaxed),
+          g_bytes.load(std::memory_order_relaxed)};
 }
 
 void set_alloc_trace(std::uint32_t n) {
@@ -94,9 +55,8 @@ namespace detail {
 
 void on_alloc(std::size_t bytes) noexcept {
   if (!g_counting.load(std::memory_order_relaxed) || t_in_hook) return;
-  ThreadRecord* r = my_record();
-  r->allocs.fetch_add(1, std::memory_order_relaxed);
-  r->bytes.fetch_add(bytes, std::memory_order_relaxed);
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(bytes, std::memory_order_relaxed);
 #if defined(__GLIBC__)
   if (g_trace_budget.load(std::memory_order_relaxed) > 0 &&
       g_trace_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
@@ -112,8 +72,7 @@ void on_alloc(std::size_t bytes) noexcept {
 
 void on_free() noexcept {
   if (!g_counting.load(std::memory_order_relaxed) || t_in_hook) return;
-  ThreadRecord* r = my_record();
-  r->frees.fetch_add(1, std::memory_order_relaxed);
+  g_frees.fetch_add(1, std::memory_order_relaxed);
 }
 
 void mark_hooks_linked() noexcept {

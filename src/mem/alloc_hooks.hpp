@@ -2,12 +2,12 @@
 //
 // The zero-allocation steady-state gate needs to observe every global
 // operator new/delete in a real scenario run. The counting itself lives
-// here (thread-local records so TRIM_SHARDS>1 workers never contend on a
-// shared counter); the actual operator new/delete replacement lives in
-// alloc_hooks_global.cpp, which is compiled *only* into the binaries that
-// gate or count allocations (tests/mem, bench_memory, bench_engine_micro)
-// via the trim_alloc_hook OBJECT library — ordinary benches and the figure
-// binaries keep the stock allocator and pay nothing.
+// here (three process-wide relaxed atomics); the actual operator new/delete
+// replacement lives in alloc_hooks_global.cpp, which is compiled *only*
+// into the binaries that gate or count allocations (tests/mem,
+// bench_memory, bench_engine_micro) via the trim_alloc_hook OBJECT library
+// — ordinary benches and the figure binaries keep the stock allocator and
+// pay nothing.
 //
 // Usage in a gated binary:
 //   ASSERT_TRUE(mem::alloc_hooks_active());   // hook is linked in
@@ -34,20 +34,17 @@ struct AllocTotals {
 bool alloc_hooks_active();
 
 // Global gate. Off (the default) makes a counted binary's hook cost one
-// relaxed atomic load per allocation; on routes every allocation to the
-// calling thread's record.
+// relaxed atomic load per allocation; on adds every allocation and free,
+// from any thread, to the process-wide totals.
 void set_alloc_counting(bool on);
 bool alloc_counting();
 
-// Zero every thread's record (the totals, not the thread registry).
+// Zero the totals. Neither this nor alloc_totals() allocates, so both are
+// safe to call with counting on.
 void reset_alloc_counts();
 
-// Sum over every thread that ever allocated while counting was on.
+// Counted allocations, frees and bytes, summed over every thread.
 AllocTotals alloc_totals();
-
-// Threads that have registered a record so far (tests assert the sharded
-// engine's workers each got their own).
-std::size_t alloc_tracked_threads();
 
 // Diagnostics for a failing zero-alloc gate: print the call stack of the
 // next `n` counted allocations to stderr (glibc backtrace, mangled
@@ -55,8 +52,8 @@ std::size_t alloc_tracked_threads();
 void set_alloc_trace(std::uint32_t n);
 
 namespace detail {
-// Called by the replacing operator new/delete. Reentrancy-safe: a thread
-// registering its record allocates, and those allocations are not counted.
+// Called by the replacing operator new/delete. Reentrancy-safe: the
+// allocations of an alloc-trace backtrace are not counted.
 void on_alloc(std::size_t bytes) noexcept;
 void on_free() noexcept;
 void mark_hooks_linked() noexcept;

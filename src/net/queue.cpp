@@ -31,18 +31,18 @@ void Queue::push_back(Packet p) {
   ++stats_.enqueued;
   fifo_.push_back(std::move(p));
   record_occupancy();
-  if (obs_clock_ != nullptr) {
+  if (clock_ != nullptr) {
     // An accepted packet ends any running drop episode: the episode is the
     // maximal run of rejections with no accept in between.
     if (in_drop_episode_) {
       in_drop_episode_ = false;
-      obs::emit(obs_clock_, obs::EventKind::kQueueDropEpisodeEnd, obs_subject_,
+      obs::emit(clock_, obs::EventKind::kQueueDropEpisodeEnd, obs_subject_,
                 static_cast<double>(episode_drops_),
-                (obs_clock_->now() - episode_start_).to_seconds());
+                (clock_->now() - episode_start_).to_seconds());
     }
     if (fifo_.size() > hwm_packets_) {
       hwm_packets_ = fifo_.size();
-      obs::emit(obs_clock_, obs::EventKind::kQueueHighWatermark, obs_subject_,
+      obs::emit(clock_, obs::EventKind::kQueueHighWatermark, obs_subject_,
                 static_cast<double>(fifo_.size()), static_cast<double>(bytes_));
     }
   }
@@ -51,13 +51,13 @@ void Queue::push_back(Packet p) {
 void Queue::drop(const Packet& p) {
   ++stats_.dropped;
   stats_.bytes_dropped += p.size_bytes();
-  if (obs_clock_ != nullptr) {
-    if (auto* t = obs::telemetry_of(obs_clock_)) t->core().queue_drops->inc();
+  if (clock_ != nullptr) {
+    if (auto* t = obs::telemetry_of(clock_)) t->core().queue_drops->inc();
     if (!in_drop_episode_) {
       in_drop_episode_ = true;
       episode_drops_ = 0;
-      episode_start_ = obs_clock_->now();
-      obs::emit(obs_clock_, obs::EventKind::kQueueDropEpisodeStart, obs_subject_,
+      episode_start_ = clock_->now();
+      obs::emit(clock_, obs::EventKind::kQueueDropEpisodeStart, obs_subject_,
                 static_cast<double>(fifo_.size()), static_cast<double>(bytes_));
     }
     ++episode_drops_;

@@ -54,19 +54,18 @@ class Queue {
   const QueueStats& stats() const { return stats_; }
 
   // Optional instrumentation: occupancy trace (sampled on every enqueue /
-  // dequeue / drop).
-  void set_length_trace(stats::TimeSeries* trace, const sim::Simulator* clock) {
-    trace_ = trace;
-    clock_ = clock;
-  }
+  // dequeue / drop), stamped with the queue's clock — the owning link's
+  // simulator, which follows the link when it is rebound to a shard.
+  void set_length_trace(stats::TimeSeries* trace) { trace_ = trace; }
 
-  // Telemetry wiring (done by Link when it adopts the queue): `subject` is
-  // the stable obs::subject_id of the owning link. With a clock attached
-  // the queue emits depth high-watermark and drop-episode events and feeds
-  // the queue.drops counter; without one (bare queues in unit tests) the
-  // hooks are no-ops.
+  // Clock and telemetry wiring (done by Link when it adopts the queue, and
+  // again when the link is rebound): `subject` is the stable
+  // obs::subject_id of the owning link. With a clock attached the queue
+  // emits depth high-watermark and drop-episode events and feeds the
+  // queue.drops counter; without one (bare queues in unit tests) the hooks
+  // are no-ops.
   void set_telemetry(const sim::Simulator* clock, std::uint32_t subject) {
-    obs_clock_ = clock;
+    clock_ = clock;
     obs_subject_ = subject;
   }
 
@@ -83,8 +82,6 @@ class Queue {
   QueueStats stats_;
   stats::TimeSeries* trace_ = nullptr;
   const sim::Simulator* clock_ = nullptr;
-
-  const sim::Simulator* obs_clock_ = nullptr;
   std::uint32_t obs_subject_ = 0;
   std::size_t hwm_packets_ = 0;       // high-watermark emitted so far
   bool in_drop_episode_ = false;      // a drop happened, no accept since

@@ -22,7 +22,6 @@ void FlightRecorder::enable(std::size_t capacity) {
 void FlightRecorder::emit(sim::SimTime at, EventKind kind, std::uint32_t subject,
                           double a, double b) {
   ++counts_.by_kind[static_cast<std::size_t>(kind)];
-  ++total_emitted_;
   if (ring_.empty()) return;
   if (size_ < ring_.size()) {
     ring_[size_++] = {at, kind, subject, a, b};
@@ -57,7 +56,6 @@ void FlightRecorder::clear() {
   head_ = 0;
   size_ = 0;
   counts_ = EventCounts{};
-  total_emitted_ = 0;
 }
 
 }  // namespace trim::obs

@@ -57,7 +57,7 @@ class FlightRecorder {
 
   std::uint64_t count(EventKind kind) const { return counts_[kind]; }
   const EventCounts& counts() const { return counts_; }
-  std::uint64_t total_emitted() const { return total_emitted_; }
+  std::uint64_t total_emitted() const { return counts_.total(); }
 
   // Retained events, oldest first (a snapshot; the backing store is a ring).
   std::size_t size() const { return size_; }
@@ -73,7 +73,6 @@ class FlightRecorder {
   std::size_t head_ = 0;  // oldest retained entry once the ring wrapped
   std::size_t size_ = 0;  // retained entries (<= ring_.size())
   EventCounts counts_;
-  std::uint64_t total_emitted_ = 0;
 };
 
 }  // namespace trim::obs

@@ -1,212 +1,83 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/config_error.hpp"
 
 namespace trim::obs {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, width_{(hi - lo) / static_cast<double>(bins)} {
+    : lo{lo}, hi{hi}, width{(hi - lo) / static_cast<double>(bins)}, bins(bins, 0) {
   if (!(hi > lo) || bins == 0) {
     throw ConfigError{"bad histogram shape", "obs::Histogram",
                       "hi > lo and bins >= 1"};
   }
-  bins_.assign(bins, 0);
 }
 
 void Histogram::observe(double v) {
-  ++count_;
-  sum_ += v;
-  if (count_ == 1 || v > max_) max_ = v;
-  if (v < lo_) {
-    ++underflow_;
-  } else if (v >= hi_) {
-    ++overflow_;
+  ++count;
+  sum += v;
+  if (count == 1 || v > max) max = v;
+  if (v < lo) {
+    ++underflow;
+  } else if (v >= hi) {
+    ++overflow;
   } else {
-    auto idx = static_cast<std::size_t>((v - lo_) / width_);
-    if (idx >= bins_.size()) idx = bins_.size() - 1;  // float edge at hi
-    ++bins_[idx];
+    auto idx = static_cast<std::size_t>((v - lo) / width);
+    if (idx >= bins.size()) idx = bins.size() - 1;  // float edge at hi
+    ++bins[idx];
   }
 }
 
+namespace {
+
+template <typename T, typename... Args>
+T* find_or_add(ByName<T>& map, std::string_view name, Args... args) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string{name}, args...).first;
+  return &it->second;
+}
+
+}  // namespace
+
 Counter* MetricsRegistry::counter(std::string_view name) {
-  const auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return it->second;
-  counters_.emplace_back();
-  return counter_index_.emplace(std::string{name}, &counters_.back()).first->second;
+  return find_or_add(live_.counters, name);
 }
 
 Gauge* MetricsRegistry::gauge(std::string_view name) {
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return it->second;
-  gauges_.emplace_back();
-  return gauge_index_.emplace(std::string{name}, &gauges_.back()).first->second;
+  return find_or_add(live_.gauges, name);
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name, double lo, double hi,
                                       std::size_t bins) {
-  const auto it = histogram_index_.find(name);
-  if (it != histogram_index_.end()) {
-    Histogram* h = it->second;
-    if (h->lo() != lo || h->hi() != hi || h->bin_count() != bins) {
-      throw ConfigError{"histogram re-registered with a different shape",
-                        "MetricsRegistry::histogram(" + std::string{name} + ")",
-                        "same lo/hi/bins as the first registration"};
-    }
-    return h;
+  Histogram* h = find_or_add(live_.histograms, name, lo, hi, bins);
+  if (h->lo != lo || h->hi != hi || h->bins.size() != bins) {
+    throw ConfigError{"histogram re-registered with a different shape",
+                      "MetricsRegistry::histogram(" + std::string{name} + ")",
+                      "same lo/hi/bins as the first registration"};
   }
-  histograms_.emplace_back(lo, hi, bins);
-  return histogram_index_.emplace(std::string{name}, &histograms_.back())
-      .first->second;
+  return h;
 }
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  snap.counters.reserve(counter_index_.size());
-  for (const auto& [name, c] : counter_index_) {
-    snap.counters.push_back({name, c->value});
-  }
-  snap.gauges.reserve(gauge_index_.size());
-  for (const auto& [name, g] : gauge_index_) {
-    snap.gauges.push_back({name, g->value});
-  }
-  snap.histograms.reserve(histogram_index_.size());
-  for (const auto& [name, h] : histogram_index_) {
-    snap.histograms.push_back({name, h->lo(), h->hi(), h->bins_, h->underflow(),
-                               h->overflow(), h->count(), h->sum(),
-                               h->max_value()});
-  }
-  return snap;
-}
-
-namespace {
-
-// Merge two by-name-sorted vectors in place via `combine(into, from)` for
-// names present in both; names only in `other` are inserted.
-template <typename Sample, typename Combine>
-void merge_sorted(std::vector<Sample>& into, const std::vector<Sample>& other,
-                  Combine combine) {
-  std::vector<Sample> out;
-  out.reserve(into.size() + other.size());
-  std::size_t i = 0, j = 0;
-  while (i < into.size() || j < other.size()) {
-    if (j >= other.size() ||
-        (i < into.size() && into[i].name < other[j].name)) {
-      out.push_back(std::move(into[i++]));
-    } else if (i >= into.size() || other[j].name < into[i].name) {
-      out.push_back(other[j++]);
-    } else {
-      combine(into[i], other[j]);
-      out.push_back(std::move(into[i]));
-      ++i;
-      ++j;
-    }
-  }
-  into = std::move(out);
-}
-
-}  // namespace
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  merge_sorted(counters, other.counters,
-               [](CounterSample& a, const CounterSample& b) { a.value += b.value; });
-  merge_sorted(gauges, other.gauges, [](GaugeSample& a, const GaugeSample& b) {
-    a.value = std::max(a.value, b.value);
-  });
-  merge_sorted(histograms, other.histograms,
-               [](HistogramSample& a, const HistogramSample& b) {
-                 if (a.lo != b.lo || a.hi != b.hi || a.bins.size() != b.bins.size()) {
-                   return;  // mismatched shape: keep the first operand
-                 }
-                 for (std::size_t k = 0; k < a.bins.size(); ++k) {
-                   a.bins[k] += b.bins[k];
-                 }
-                 a.underflow += b.underflow;
-                 a.overflow += b.overflow;
-                 a.count += b.count;
-                 a.sum += b.sum;
-                 a.max = std::max(a.max, b.max);
-               });
-}
-
-namespace {
-
-void pad(std::string& out, int n) { out.append(static_cast<std::size_t>(n), ' '); }
-
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string num(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::to_json(int indent, int depth) const {
-  const int base = indent * depth;
-  const int in1 = base + indent;
-  const int in2 = in1 + indent;
-  std::string out = "{\n";
-
-  pad(out, in1);
-  out += "\"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    pad(out, in2);
-    out += "\"" + counters[i].name + "\": " + num(counters[i].value);
+  for (const auto& [name, c] : other.counters) counters[name].value += c.value;
+  for (const auto& [name, g] : other.gauges) {
+    const auto [it, added] = gauges.try_emplace(name, g);
+    if (!added) it->second.value = std::max(it->second.value, g.value);
   }
-  if (!counters.empty()) {
-    out += "\n";
-    pad(out, in1);
-  }
-  out += "},\n";
-
-  pad(out, in1);
-  out += "\"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    pad(out, in2);
-    out += "\"" + gauges[i].name + "\": " + num(gauges[i].value);
-  }
-  if (!gauges.empty()) {
-    out += "\n";
-    pad(out, in1);
-  }
-  out += "},\n";
-
-  pad(out, in1);
-  out += "\"histograms\": {";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const auto& h = histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    pad(out, in2);
-    out += "\"" + h.name + "\": {\"lo\": " + num(h.lo) + ", \"hi\": " + num(h.hi) +
-           ", \"count\": " + num(h.count) + ", \"sum\": " + num(h.sum) +
-           ", \"max\": " + num(h.max) +
-           ", \"underflow\": " + num(h.underflow) +
-           ", \"overflow\": " + num(h.overflow) + ", \"bins\": [";
-    for (std::size_t k = 0; k < h.bins.size(); ++k) {
-      if (k != 0) out += ", ";
-      out += num(h.bins[k]);
+  for (const auto& [name, b] : other.histograms) {
+    const auto [it, added] = histograms.try_emplace(name, b);
+    Histogram& a = it->second;
+    if (added || a.lo != b.lo || a.hi != b.hi || a.bins.size() != b.bins.size()) {
+      continue;  // new name, or mismatched shape: keep the first operand
     }
-    out += "]}";
+    for (std::size_t k = 0; k < a.bins.size(); ++k) a.bins[k] += b.bins[k];
+    a.underflow += b.underflow;
+    a.overflow += b.overflow;
+    a.count += b.count;
+    a.sum += b.sum;
+    a.max = std::max(a.max, b.max);
   }
-  if (!histograms.empty()) {
-    out += "\n";
-    pad(out, in1);
-  }
-  out += "}\n";
-
-  pad(out, base);
-  out += "}";
-  return out;
 }
 
 namespace {
@@ -215,10 +86,7 @@ namespace {
 // bin. Ranks landing in the underflow region resolve to `lo` (the best
 // bound the histogram has); ranks in the overflow region resolve to the
 // exact tracked max.
-double quantile_of(const HistogramSample& h, double q) {
-  if (h.count == 0) return 0.0;
-  const double width =
-      (h.hi - h.lo) / static_cast<double>(h.bins.empty() ? 1 : h.bins.size());
+double quantile_of(const Histogram& h, double q) {
   std::uint64_t rank = static_cast<std::uint64_t>(
       q * static_cast<double>(h.count) + 0.5);
   if (rank < 1) rank = 1;
@@ -231,10 +99,10 @@ double quantile_of(const HistogramSample& h, double q) {
       const double frac =
           n == 0 ? 1.0
                  : static_cast<double>(rank - cum) / static_cast<double>(n);
-      const double v = h.lo + (static_cast<double>(i) + frac) * width;
+      const double v = h.lo + (static_cast<double>(i) + frac) * h.width;
       // Never report beyond the exact max (a lone sample early in a wide
       // bin would otherwise round up to the bin edge past it).
-      return h.max > 0.0 ? std::min(v, h.max) : v;
+      return std::min(v, h.max);
     }
     cum += n;
   }
@@ -243,7 +111,7 @@ double quantile_of(const HistogramSample& h, double q) {
 
 }  // namespace
 
-Percentiles percentiles(const HistogramSample& h) {
+Percentiles percentiles(const Histogram& h) {
   Percentiles p;
   if (h.count == 0) return p;
   p.p50 = quantile_of(h, 0.50);
@@ -251,28 +119,6 @@ Percentiles percentiles(const HistogramSample& h) {
   p.p99 = quantile_of(h, 0.99);
   p.max = h.max;
   return p;
-}
-
-Percentiles percentiles(const Histogram& h) {
-  HistogramSample s;
-  s.lo = h.lo();
-  s.hi = h.hi();
-  s.bins.reserve(h.bin_count());
-  for (std::size_t i = 0; i < h.bin_count(); ++i) s.bins.push_back(h.bin(i));
-  s.underflow = h.underflow();
-  s.overflow = h.overflow();
-  s.count = h.count();
-  s.sum = h.sum();
-  s.max = h.max_value();
-  return percentiles(s);
-}
-
-const HistogramSample* find_histogram(const MetricsSnapshot& snapshot,
-                                      std::string_view name) {
-  for (const auto& h : snapshot.histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
 }
 
 }  // namespace trim::obs

@@ -84,7 +84,37 @@ std::string RunReport::to_json() const {
   }
   out += scalars_.empty() ? "},\n" : "\n  },\n";
 
-  out += "  \"metrics\": " + telemetry_.metrics.to_json(2, 1) + ",\n";
+  // "metrics": one name-ordered object per instrument kind.
+  auto append_metrics = [&out](const char* kind, const auto& by_name,
+                               auto value_json, const char* close) {
+    out += std::string{"    \""} + kind + "\": {";
+    bool first_name = true;
+    for (const auto& [name, value] : by_name) {
+      out += first_name ? "\n" : ",\n";
+      first_name = false;
+      out += "      \"" + name + "\": " + value_json(value);
+    }
+    out += by_name.empty() ? "" : "\n    ";
+    out += close;
+  };
+  const MetricsSnapshot& metrics = telemetry_.metrics;
+  out += "  \"metrics\": {\n";
+  append_metrics("counters", metrics.counters,
+                 [](const Counter& c) { return num(c.value); }, "},\n");
+  append_metrics("gauges", metrics.gauges,
+                 [](const Gauge& g) { return num(g.value); }, "},\n");
+  append_metrics("histograms", metrics.histograms, [](const Histogram& h) {
+    std::string json = "{\"lo\": " + num(h.lo) + ", \"hi\": " + num(h.hi) +
+                       ", \"count\": " + num(h.count) + ", \"sum\": " + num(h.sum) +
+                       ", \"max\": " + num(h.max) +
+                       ", \"underflow\": " + num(h.underflow) +
+                       ", \"overflow\": " + num(h.overflow) + ", \"bins\": [";
+    for (std::size_t k = 0; k < h.bins.size(); ++k) {
+      json += (k == 0 ? "" : ", ") + num(h.bins[k]);
+    }
+    return json + "]}";
+  }, "}\n");
+  out += "  },\n";
 
   out += "  \"events\": {";
   bool first = true;

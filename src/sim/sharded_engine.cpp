@@ -156,6 +156,11 @@ void ShardedEngine::ensure_closure() {
 }
 
 SimTime ShardedEngine::lookahead_between(int src, int dst) {
+  const int n = shard_count();
+  if (src < 0 || src >= n || dst < 0 || dst >= n) {
+    throw ConfigError{"shard id out of range", "ShardedEngine::lookahead_between",
+                      "[0, shard_count())"};
+  }
   ensure_closure();
   return closed_lookahead_[mailbox_index(src, dst)];
 }

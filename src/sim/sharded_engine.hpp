@@ -95,14 +95,9 @@ class ShardedEngine {
   // The path-closed lookahead from shard `src` to shard `dst`:
   // SimTime::max() when no cut-link path connects them (dst then never
   // waits on src). The diagonal is the shortest cycle back through other
-  // shards. Computes the closure on first use after new cut links.
+  // shards. Computes the closure on first use after new cut links. Throws
+  // ConfigError on out-of-range shard ids.
   SimTime lookahead_between(int src, int dst);
-
-  // Min-plus Floyd–Warshall closure of an n x n delay matrix (row-major,
-  // SimTime::max() = no edge, saturating adds). Shared with
-  // topo::partition_network so the partition report and the live engine
-  // agree on every L[src][dst].
-  static void close_over_paths(std::vector<SimTime>& matrix, int n);
 
   // Cross-shard hand-off: run `cb` on shard `dst` at time `due`. Called
   // only from shard `src`'s thread during a window (the cut-link delivery
@@ -223,6 +218,9 @@ class ShardedEngine {
   SimTime shard_eit(int s) const;
   // Recompute the closed lookahead matrix from the seeds if stale.
   void ensure_closure();
+  // Min-plus Floyd–Warshall closure of an n x n delay matrix (row-major,
+  // SimTime::max() = no edge, saturating adds).
+  static void close_over_paths(std::vector<SimTime>& matrix, int n);
   // Destination worker schedules its own inbound mail from the previous
   // window's buffers, in (source, FIFO) order.
   void drain_inbox(int dst);

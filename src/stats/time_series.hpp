@@ -1,11 +1,6 @@
 // Append-only (time, value) series used for traces such as queue length or
-// congestion-window evolution (paper Figs. 4, 6, 9(a)).
-//
-// Storage is chunked: samples live in fixed-size blocks that are allocated
-// as the series grows, so recording never copies the history the way a
-// reallocating vector would — appends on multi-million-event traces are
-// O(1) worst case, not just amortized. `samples()` still hands out one
-// contiguous span (flattened lazily and cached).
+// congestion-window evolution (paper Figs. 4, 6, 9(a)). Samples live in
+// one vector: appends are amortized O(1), and `samples()` is a view of it.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +21,9 @@ class TimeSeries {
   void record(sim::SimTime at, double value);
 
   // Contiguous view of all samples, oldest first.
-  std::span<const Sample> samples() const;
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::span<const Sample> samples() const { return samples_; }
+  std::size_t size() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
 
   double max_value() const;
   double min_value() const;
@@ -46,19 +41,7 @@ class TimeSeries {
   TimeSeries downsampled(std::size_t max_points) const;
 
  private:
-  static constexpr std::size_t kChunk = 4096;
-
-  const Sample& at(std::size_t i) const {
-    return chunks_[i / kChunk][i % kChunk];
-  }
-
-  std::vector<std::vector<Sample>> chunks_;
-  std::size_t size_ = 0;
-
-  // Lazy flatten cache backing samples(); rebuilt only when stale and the
-  // series spans more than one chunk.
-  mutable std::vector<Sample> flat_;
-  mutable bool flat_stale_ = false;
+  std::vector<Sample> samples_;
 };
 
 }  // namespace trim::stats

@@ -8,17 +8,6 @@
 
 namespace trim::topo {
 
-sim::SimTime Partition::lookahead_between(int src, int dst) const {
-  if (src < 0 || src >= shards || dst < 0 || dst >= shards) {
-    throw ConfigError{"shard id out of range", "Partition::lookahead_between",
-                      "[0, shards)"};
-  }
-  if (lookahead.empty()) return sim::SimTime::max();
-  return lookahead[static_cast<std::size_t>(src) *
-                       static_cast<std::size_t>(shards) +
-                   static_cast<std::size_t>(dst)];
-}
-
 double Partition::imbalance() const {
   const double total =
       std::accumulate(shard_weight.begin(), shard_weight.end(), 0.0);
@@ -122,27 +111,14 @@ Partition partition_network(const net::Network& network, int shards) {
     part.shard_of_node[id] = shard_of_group[static_cast<std::size_t>(group_of[id])];
   }
 
-  // ---- 4. Cut census: global + per-pair lookahead over cut links. ----
-  part.lookahead.assign(
-      static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards),
-      sim::SimTime::max());
+  // ---- 4. Cut census. ----
   const auto& links = network.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
-    const int src = part.shard_of_node[network.link_source(i)];
-    const int dst = part.shard_of_node[links[i]->peer()->id()];
-    if (src == dst) continue;
-    ++part.cut_links;
-    part.min_cut_delay = std::min(part.min_cut_delay, links[i]->prop_delay());
-    sim::SimTime& cell =
-        part.lookahead[static_cast<std::size_t>(src) *
-                           static_cast<std::size_t>(shards) +
-                       static_cast<std::size_t>(dst)];
-    cell = std::min(cell, links[i]->prop_delay());
+    if (part.shard_of_node[network.link_source(i)] !=
+        part.shard_of_node[links[i]->peer()->id()]) {
+      ++part.cut_links;
+    }
   }
-  // Close over multi-hop shard paths so L[src][dst] is a true path bound
-  // even when src and dst share no direct cut link — the exact matrix the
-  // engine's matrix sync protocol derives its per-shard windows from.
-  sim::ShardedEngine::close_over_paths(part.lookahead, shards);
   return part;
 }
 

@@ -29,23 +29,14 @@ struct Partition {
   std::vector<int> shard_of_node;  // node id -> shard, size node_count()
   int shards = 1;                  // requested shard count
   int groups = 0;                  // affinity groups discovered
-  int cut_links = 0;               // links whose endpoints differ in shard
-  // min prop_delay over cut links — the engine's conservative lookahead.
-  // SimTime::max() when nothing is cut (single shard / tiny topology).
-  sim::SimTime min_cut_delay = sim::SimTime::max();
-  // Path-closed per-pair lookahead, row-major [src * shards + dst]: the
-  // minimum total prop_delay over cut-link paths from shard src to shard
-  // dst (sim::SimTime::max() = unreachable), closed over multi-hop shard
-  // paths with the same min-plus closure the matrix sync protocol uses
-  // (sim::ShardedEngine::close_over_paths). The diagonal holds the
-  // shortest cycle back through other shards, not zero.
-  std::vector<sim::SimTime> lookahead;
+  // Links whose endpoints differ in shard. The lookahead they imply is the
+  // engine's: applying the partition registers each one with it
+  // (ShardedEngine::note_cut_link), and ShardedEngine::lookahead_between
+  // reports the path-closed per-pair matrix.
+  int cut_links = 0;
 
   // Largest shard weight over the ideal (total / shards); 1.0 is perfect.
   double imbalance() const;
-
-  // lookahead[src][dst] with bounds checking; max() when nothing is cut.
-  sim::SimTime lookahead_between(int src, int dst) const;
 
   std::vector<double> shard_weight;  // estimated load per shard
 };

@@ -158,7 +158,7 @@ TEST(TrimSender, QueueControlKeepsStandingQueueSmall) {
   HostPair net{1'000'000'000, sim::SimTime::micros(50),
                net::QueueConfig::droptail_packets(100)};
   stats::TimeSeries queue_trace;
-  net.data_queue->set_length_trace(&queue_trace, &net.sim);
+  net.data_queue->set_length_trace(&queue_trace);
   TrimFlow f{net, gig_trim()};
   f.sender.write(5000 * 1460);
   net.sim.run();

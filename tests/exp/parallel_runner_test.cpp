@@ -134,8 +134,7 @@ void expect_identical(const ConcurrencyResult& a, const ConcurrencyResult& b,
   EXPECT_EQ(a.spt_timeouts, b.spt_timeouts) << what;
   EXPECT_EQ(a.completed_spts, b.completed_spts) << what;
   EXPECT_EQ(a.total_spts, b.total_spts) << what;
-  EXPECT_EQ(a.telemetry.metrics.to_json(), b.telemetry.metrics.to_json())
-      << what;
+  EXPECT_TRUE(a.telemetry.metrics == b.telemetry.metrics) << what;
   EXPECT_EQ(a.telemetry.events.by_kind, b.telemetry.events.by_kind) << what;
   ASSERT_EQ(a.flow_summaries.size(), b.flow_summaries.size()) << what;
   for (std::size_t i = 0; i < a.flow_summaries.size(); ++i) {

@@ -4,6 +4,7 @@
 // is how a test can tell which world it lives in.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -15,17 +16,42 @@ namespace {
 
 // The optimizer may legally elide a matched new/delete pair whose pointer
 // never escapes ([expr.new]/10) — and under -O2 it does, which would make
-// these tests observe nothing. Publishing the pointer through a volatile
-// global forces the allocation to really happen.
-void* volatile g_escape = nullptr;
+// these tests observe nothing. Publishing the pointer through a global
+// forces the allocation to really happen; the global is atomic because
+// several threads publish through it at once.
+std::atomic<void*> g_escape{nullptr};
 
 template <typename T>
 T* escape(T* p) {
-  g_escape = p;
+  g_escape.store(p, std::memory_order_relaxed);
   return p;
 }
 
-// The gate and records are process-global, so these tests serialize
+// Each of these is the first counter call of its process (ctest runs every
+// test in its own process, and they come first in this file): counting is
+// switched on before this thread has counted anything, and the call must
+// return instead of deadlocking in the counter's own bookkeeping.
+TEST(AllocHooksFirstUse, ResetWithCountingOnReturns) {
+  set_alloc_counting(true);
+  reset_alloc_counts();
+  delete escape(new int{1});
+  set_alloc_counting(false);
+  const AllocTotals t = alloc_totals();
+  EXPECT_GE(t.allocs, 1u);
+  EXPECT_GE(t.frees, 1u);
+}
+
+TEST(AllocHooksFirstUse, TotalsWithCountingOnReturn) {
+  set_alloc_counting(true);
+  const AllocTotals before = alloc_totals();
+  delete escape(new int{1});
+  const AllocTotals after = alloc_totals();
+  set_alloc_counting(false);
+  EXPECT_GE(after.allocs, before.allocs + 1);
+  EXPECT_GE(after.frees, before.frees + 1);
+}
+
+// The gate and totals are process-global, so these tests serialize
 // through a fixture that always restores the off state.
 class AllocHooks : public ::testing::Test {
  protected:
@@ -61,28 +87,25 @@ TEST_F(AllocHooks, DisabledGateCountsNothing) {
   EXPECT_EQ(t.frees, 0u);
 }
 
-TEST_F(AllocHooks, ResetZeroesTotalsButKeepsThreadRecords) {
+TEST_F(AllocHooks, ResetZeroesTotals) {
   set_alloc_counting(true);
   delete escape(new int{1});
   set_alloc_counting(false);
-  const std::size_t threads = alloc_tracked_threads();
-  EXPECT_GE(threads, 1u);
+  EXPECT_GE(alloc_totals().allocs, 1u);
   reset_alloc_counts();
   const AllocTotals t = alloc_totals();
   EXPECT_EQ(t.allocs, 0u);
   EXPECT_EQ(t.frees, 0u);
   EXPECT_EQ(t.bytes, 0u);
-  EXPECT_EQ(alloc_tracked_threads(), threads);
 }
 
-TEST_F(AllocHooks, EachAllocatingThreadGetsItsOwnRecord) {
-  // The sharded engine's workers count into thread-local records; totals
-  // must sum across them without double counting or losing a thread.
+TEST_F(AllocHooks, CountsSumAcrossThreads) {
+  // The sharded engine's workers allocate on their own threads; totals
+  // must sum across them without losing a thread's counts.
   constexpr int kThreads = 4;
   constexpr int kAllocsPerThread = 100;
   set_alloc_counting(true);
   reset_alloc_counts();
-  const std::size_t tracked_before = alloc_tracked_threads();
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -95,7 +118,6 @@ TEST_F(AllocHooks, EachAllocatingThreadGetsItsOwnRecord) {
   const AllocTotals t = alloc_totals();
   EXPECT_GE(t.allocs, static_cast<std::uint64_t>(kThreads * kAllocsPerThread));
   EXPECT_GE(t.frees, static_cast<std::uint64_t>(kThreads * kAllocsPerThread));
-  EXPECT_GE(alloc_tracked_threads(), tracked_before + kThreads);
 }
 
 TEST_F(AllocHooks, AlignedAndArrayFormsAreCounted) {

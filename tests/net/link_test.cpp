@@ -106,6 +106,22 @@ TEST_F(LinkTest, DeliveryMeterCountsBytes) {
   EXPECT_EQ(meter.total_bytes(), 15'000u);
 }
 
+// A queue trace installed before the link moves to another simulator (as
+// Network::apply_partition moves it to a shard) stamps with the new clock.
+TEST_F(LinkTest, QueueTraceFollowsRebind) {
+  Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(5),
+            make_queue(QueueConfig{})};
+  link.set_peer(&sink);
+  stats::TimeSeries trace;
+  link.queue().set_length_trace(&trace);
+  sim::Simulator shard;
+  shard.run_until(sim::SimTime::millis(5));
+  link.rebind_simulator(&shard);
+  link.send(sized_packet(1460));
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(trace.samples().front().at, sim::SimTime::millis(5));
+}
+
 TEST(LinkConstruction, RejectsBadParameters) {
   sim::Simulator sim;
   EXPECT_THROW(Link(&sim, "l", 0, sim::SimTime::micros(1), make_queue(QueueConfig{})),

@@ -1,7 +1,8 @@
-// Unit tests for the obs layer: metrics registry, flight recorder,
-// subject ids, event-kind names, and the scoped profiler.
+// Unit tests for the obs layer: metrics registry and percentiles, flight
+// recorder, subject ids, event-kind names, and the scoped profiler.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "obs/events.hpp"
@@ -24,7 +25,15 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
   Gauge* g = reg.gauge("queue.depth");
   g->set(17.5);
   EXPECT_EQ(g, reg.gauge("queue.depth"));
-  EXPECT_EQ(reg.instrument_count(), 2u);
+
+  // Handles are map nodes: registering many more names moves neither.
+  for (int i = 0; i < 1000; ++i) reg.counter("c" + std::to_string(i));
+  EXPECT_EQ(c, reg.counter("tcp.segments_sent"));
+  EXPECT_EQ(c->value, 5u);
+  EXPECT_EQ(g, reg.gauge("queue.depth"));
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.size(), 1001u);
+  EXPECT_EQ(snap.gauges.size(), 1u);
 }
 
 TEST(MetricsRegistry, HistogramBucketsAndOverflow) {
@@ -35,13 +44,14 @@ TEST(MetricsRegistry, HistogramBucketsAndOverflow) {
   h->observe(55.0);   // bucket 5
   h->observe(99.99);  // last bucket
   h->observe(100.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h->underflow(), 1u);
-  EXPECT_EQ(h->overflow(), 1u);
-  EXPECT_EQ(h->count(), 5u);
-  EXPECT_EQ(h->bin(0), 1u);
-  EXPECT_EQ(h->bin(5), 1u);
-  EXPECT_EQ(h->bin(9), 1u);
-  EXPECT_DOUBLE_EQ(h->sum(), -1.0 + 0.0 + 55.0 + 99.99 + 100.0);
+  EXPECT_EQ(h->underflow, 1u);
+  EXPECT_EQ(h->overflow, 1u);
+  EXPECT_EQ(h->count, 5u);
+  EXPECT_EQ(h->bins[0], 1u);
+  EXPECT_EQ(h->bins[5], 1u);
+  EXPECT_EQ(h->bins[9], 1u);
+  EXPECT_DOUBLE_EQ(h->sum, -1.0 + 0.0 + 55.0 + 99.99 + 100.0);
+  EXPECT_DOUBLE_EQ(h->max, 100.0);
 }
 
 TEST(MetricsRegistry, HistogramShapeMismatchThrows) {
@@ -67,20 +77,27 @@ TEST(MetricsSnapshot, SortedByNameAndMergeSemantics) {
 
   auto sa = a.snapshot();
   ASSERT_EQ(sa.counters.size(), 2u);
-  EXPECT_EQ(sa.counters[0].name, "a.early");  // sorted
-  EXPECT_EQ(sa.counters[1].name, "z.late");
+  EXPECT_EQ(sa.counters.begin()->first, "a.early");  // sorted
+  EXPECT_EQ(sa.counters.rbegin()->first, "z.late");
 
   sa.merge(b.snapshot());
   ASSERT_EQ(sa.counters.size(), 3u);
-  EXPECT_EQ(sa.counters[0].value, 12u);  // counters add
-  EXPECT_EQ(sa.counters[1].name, "m.only_b");
-  EXPECT_EQ(sa.counters[1].value, 7u);
+  auto it = sa.counters.begin();
+  EXPECT_EQ(it->first, "a.early");
+  EXPECT_EQ(it->second.value, 12u);  // counters add
+  ++it;
+  EXPECT_EQ(it->first, "m.only_b");  // names only in `other` join in order
+  EXPECT_EQ(it->second.value, 7u);
+  EXPECT_EQ(sa.counters.at("z.late").value, 1u);
   ASSERT_EQ(sa.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(sa.gauges[0].value, 9.0);  // gauges keep the max
+  EXPECT_DOUBLE_EQ(sa.gauges.at("peak").value, 9.0);  // gauges keep the max
   ASSERT_EQ(sa.histograms.size(), 1u);
-  EXPECT_EQ(sa.histograms[0].count, 2u);  // histograms add bucket-wise
-  EXPECT_EQ(sa.histograms[0].bins[0], 1u);
-  EXPECT_EQ(sa.histograms[0].bins[1], 1u);
+  const Histogram& h = sa.histograms.at("h");
+  EXPECT_EQ(h.count, 2u);  // histograms add bucket-wise
+  EXPECT_EQ(h.bins[0], 1u);
+  EXPECT_EQ(h.bins[1], 1u);
+  EXPECT_DOUBLE_EQ(h.sum, 7.0);
+  EXPECT_DOUBLE_EQ(h.max, 6.0);
 }
 
 TEST(MetricsSnapshot, MergeMismatchedHistogramShapeKeepsFirst) {
@@ -90,20 +107,50 @@ TEST(MetricsSnapshot, MergeMismatchedHistogramShapeKeepsFirst) {
   auto sa = a.snapshot();
   sa.merge(b.snapshot());
   ASSERT_EQ(sa.histograms.size(), 1u);
-  EXPECT_EQ(sa.histograms[0].bins.size(), 2u);
-  EXPECT_EQ(sa.histograms[0].count, 1u);
+  EXPECT_EQ(sa.histograms.at("h").bins.size(), 2u);
+  EXPECT_EQ(sa.histograms.at("h").count, 1u);
 }
 
-TEST(MetricsSnapshot, ToJsonContainsAllSections) {
-  MetricsRegistry reg;
-  reg.counter("c")->inc(3);
-  reg.gauge("g")->set(1.5);
-  reg.histogram("h", 0.0, 1.0, 2)->observe(0.25);
-  const std::string json = reg.snapshot().to_json();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"c\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+// Hand-filled [100, 200) x 10 histogram: 10 underflows, 80 in bin 2
+// ([120, 130)), 10 overflows up to an exact max of 250.
+TEST(Percentiles, InterpolatesInBinAndResolvesTheTails) {
+  Histogram h{100.0, 200.0, 10};
+  h.underflow = 10;
+  h.bins[2] = 80;
+  h.overflow = 10;
+  h.count = 100;
+  h.max = 250.0;
+  const Percentiles p = percentiles(h);
+  EXPECT_DOUBLE_EQ(p.p50, 125.0);  // rank 50: 40th of 80 in [120, 130)
+  EXPECT_DOUBLE_EQ(p.p90, 130.0);  // rank 90: the bin's last sample
+  EXPECT_DOUBLE_EQ(p.p99, 250.0);  // rank 99: overflow -> exact max
+  EXPECT_DOUBLE_EQ(p.max, 250.0);
+
+  h.underflow = 60;  // rank 50 now falls in the underflow region
+  h.bins[2] = 30;
+  EXPECT_DOUBLE_EQ(percentiles(h).p50, 100.0);  // resolves to lo
+
+  // A lone sample early in a wide bin reports the exact max, not the
+  // bin's upper edge.
+  Histogram lone{0.0, 100.0, 2};
+  lone.observe(3.0);
+  const Percentiles q = percentiles(lone);
+  EXPECT_DOUBLE_EQ(q.p50, 3.0);
+  EXPECT_DOUBLE_EQ(q.p99, 3.0);
+  EXPECT_DOUBLE_EQ(q.max, 3.0);
+
+  // The clamp holds at a max of 0 too: all-zero observations report 0,
+  // not a position inside the first bin.
+  Histogram zeros{0.0, 500.0, 250};
+  for (int i = 0; i < 3; ++i) zeros.observe(0.0);
+  EXPECT_EQ(percentiles(zeros).p50, 0.0);
+  EXPECT_EQ(percentiles(zeros).p99, 0.0);
+
+  const Percentiles empty = percentiles(Histogram{0.0, 1.0, 4});
+  EXPECT_EQ(empty.p50, 0.0);
+  EXPECT_EQ(empty.p90, 0.0);
+  EXPECT_EQ(empty.p99, 0.0);
+  EXPECT_EQ(empty.max, 0.0);
 }
 
 TEST(SubjectId, StableAndDistinguishesNames) {

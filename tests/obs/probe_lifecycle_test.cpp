@@ -106,7 +106,7 @@ TEST(ProbeLifecycle, GapTwoProbesAcksThenEq1Resume) {
   for (const auto& e : seq) EXPECT_EQ(e.subject, f.sender.flow_id());
 
   // The probe RTT histogram saw exactly the two probe ACKs.
-  EXPECT_EQ(tele.core().probe_rtt_us->count(), 2u);
+  EXPECT_EQ(tele.core().probe_rtt_us->count, 2u);
   EXPECT_EQ(tele.recorder().count(EventKind::kTrimProbeAck), 2u);
 }
 
@@ -171,7 +171,7 @@ TEST(ProbeLifecycle, Eq3CutsRecordCongestionExtent) {
     max_ep = std::max(max_ep, e.a);
   }
   EXPECT_GT(max_ep, 0.0);  // the queue did push some RTT past K
-  EXPECT_EQ(tele.core().eq3_ep->count(),
+  EXPECT_EQ(tele.core().eq3_ep->count,
             tele.recorder().count(EventKind::kTrimQueueCutEq3));
 }
 

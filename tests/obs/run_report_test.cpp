@@ -108,6 +108,33 @@ TEST(RunReport, ZeroCountEventsAreOmitted) {
   EXPECT_EQ(json.find("\"link.enqueued\""), std::string::npos);
 }
 
+// The "metrics" section: one name-ordered object per instrument kind; an
+// empty kind still writes its (empty) object.
+TEST(RunReport, MetricsSectionListsEachKindByName) {
+  MetricsRegistry reg;
+  reg.counter("c.late")->inc(3);
+  reg.counter("c.early")->inc(1);
+  reg.histogram("h", 0.0, 1.0, 2)->observe(0.25);
+  TelemetrySnapshot tele;
+  tele.metrics = reg.snapshot();
+  RunReport report{"metrics"};
+  report.set_telemetry(std::move(tele));
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("  \"metrics\": {\n"
+                      "    \"counters\": {\n"
+                      "      \"c.early\": 1,\n"
+                      "      \"c.late\": 3\n"
+                      "    },\n"
+                      "    \"gauges\": {},\n"
+                      "    \"histograms\": {\n"
+                      "      \"h\": {\"lo\": 0, \"hi\": 1, \"count\": 1, \"sum\": 0.25, "
+                      "\"max\": 0.25, \"underflow\": 0, \"overflow\": 0, \"bins\": [1, 0]}\n"
+                      "    }\n"
+                      "  },\n"),
+            std::string::npos)
+      << json;
+}
+
 TEST(RunReport, FlowCapTruncatesAndCounts) {
   RunReport report{"cap"};
   for (std::size_t i = 0; i < RunReport::kMaxFlows + 10; ++i) {

@@ -46,14 +46,9 @@ TEST(Telemetry, PreregisteredCoreHandlesExist) {
   ASSERT_NE(tele.core().eq3_ep, nullptr);
   tele.core().segments_sent->inc(3);
   const auto snap = tele.snapshot();
-  bool found = false;
-  for (const auto& c : snap.metrics.counters) {
-    if (c.name == "tcp.segments_sent") {
-      found = true;
-      EXPECT_EQ(c.value, 3u);
-    }
-  }
-  EXPECT_TRUE(found);
+  const auto it = snap.metrics.counters.find("tcp.segments_sent");
+  ASSERT_NE(it, snap.metrics.counters.end());
+  EXPECT_EQ(it->second.value, 3u);
 }
 
 TEST(Telemetry, EnvKnobControlsRingCapacity) {

@@ -34,7 +34,7 @@ TEST_P(IncastInvariants, HoldAcrossProtocolsAndFanIn) {
   const auto topo = build_many_to_one(world.network, cfg);
 
   stats::TimeSeries queue_trace;
-  topo.bottleneck->queue().set_length_trace(&queue_trace, &world.simulator);
+  topo.bottleneck->queue().set_length_trace(&queue_trace);
 
   auto opts = exp::default_options(protocol, cfg.link_bps, sim::SimTime::millis(20));
   const std::uint64_t bytes_per_flow = static_cast<std::uint64_t>(kb) * 1024;
@@ -147,7 +147,7 @@ TEST_P(KSweep, FixedThresholdStillDeliversCleanly) {
   opts.trim.capacity_pps = core::packets_per_second(cfg.link_bps, 1460);
 
   stats::TimeSeries queue_trace;
-  topo.bottleneck->queue().set_length_trace(&queue_trace, &world.simulator);
+  topo.bottleneck->queue().set_length_trace(&queue_trace);
 
   std::vector<tcp::Flow> flows;
   for (int i = 0; i < 4; ++i) {

@@ -32,7 +32,7 @@ TEST(Vegas, HoldsBacklogBetweenAlphaAndBeta) {
   HostPair net{1'000'000'000, sim::SimTime::micros(200),
                net::QueueConfig::droptail_packets(100)};
   stats::TimeSeries queue_trace;
-  net.data_queue->set_length_trace(&queue_trace, &net.sim);
+  net.data_queue->set_length_trace(&queue_trace);
   TcpReceiver recv{&net.b, 1, net.a.id()};
   VegasSender sender{&net.a, net.b.id(), 1, TcpConfig{}};
   sender.write(5000 * 1460);

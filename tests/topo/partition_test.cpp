@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -81,38 +80,27 @@ TEST_P(PartitionBuilders, ValidCompleteAndDeterministic) {
     EXPECT_GT(part.groups, 0);
     EXPECT_GE(part.imbalance(), 1.0);
 
-    // Cut links must support conservative lookahead.
-    if (part.cut_links > 0) {
-      EXPECT_GT(part.min_cut_delay, sim::SimTime::zero());
-    } else {
-      EXPECT_EQ(part.min_cut_delay, sim::SimTime::max());
+    // The census counts exactly the links that cross shards, and each of
+    // them can carry conservative lookahead (positive delay).
+    int crossing = 0;
+    const auto& links = network.links();
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (part.shard_of_node[network.link_source(i)] ==
+          part.shard_of_node[links[i]->peer()->id()]) {
+        continue;
+      }
+      ++crossing;
+      EXPECT_GT(links[i]->prop_delay(), sim::SimTime::zero());
     }
+    EXPECT_EQ(crossing, part.cut_links);
     if (shards == 1) {
       EXPECT_EQ(part.cut_links, 0);
-    }
-
-    // The closed lookahead matrix is consistent with the cut census: its
-    // smallest off-diagonal entry is exactly the min cut delay (the min
-    // cut link is itself a one-hop path, and no path is shorter).
-    ASSERT_EQ(part.lookahead.size(),
-              static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards));
-    sim::SimTime min_pair = sim::SimTime::max();
-    for (int a = 0; a < shards; ++a) {
-      for (int d = 0; d < shards; ++d) {
-        if (a != d) min_pair = std::min(min_pair, part.lookahead_between(a, d));
-      }
-    }
-    if (part.cut_links > 0 && shards > 1) {
-      EXPECT_EQ(min_pair, part.min_cut_delay);
-    } else {
-      EXPECT_EQ(min_pair, sim::SimTime::max());
     }
 
     // Deterministic: a pure function of the topology.
     const Partition again = partition_network(network, shards);
     EXPECT_EQ(part.shard_of_node, again.shard_of_node);
     EXPECT_EQ(part.cut_links, again.cut_links);
-    EXPECT_EQ(part.lookahead, again.lookahead);
   }
 }
 
@@ -196,14 +184,6 @@ TEST(Partition, ShardNetworkRegistersCutLinksWithEngine) {
   ASSERT_GT(part.cut_links, 0);
   EXPECT_TRUE(engine.sharded());
   EXPECT_EQ(engine.cut_links(), part.cut_links);
-  EXPECT_EQ(engine.lookahead(), part.min_cut_delay);
-  // The engine's closed per-pair matrix matches the partition's census.
-  for (int s = 0; s < 4; ++s) {
-    for (int d = 0; d < 4; ++d) {
-      EXPECT_EQ(engine.lookahead_between(s, d), part.lookahead_between(s, d))
-          << "pair " << s << " -> " << d;
-    }
-  }
   // Every node now lives on the simulator of its assigned shard.
   for (net::NodeId id = 0; id < network.node_count(); ++id) {
     EXPECT_EQ(network.node(id).simulator(),
@@ -229,19 +209,22 @@ TEST(Partition, SingleShardEngineLeavesNetworkUntouched) {
 }
 
 // ---- per-pair lookahead matrix ----
+//
+// Each test applies the partition to an engine of the same width; the
+// engine's path-closed matrix is then the lookahead the partition implies.
 
 // two_tier link delays: fabric<->frontend 10 us, tor<->fabric 20 us,
 // host<->tor 20 us (always intra-rack). With fabric, frontend, and racks
 // on distinct shards, every shard-pair lookahead is a sum of those.
 TEST(Partition, TwoTierLookaheadMatrixAtFourShards) {
-  sim::Simulator sim;
-  net::Network network{&sim};
+  sim::ShardedEngine engine{4};
+  net::Network network{&engine.control()};
   TwoTierConfig cfg;
   cfg.num_switches = 5;
   cfg.servers_per_switch = 6;
   const auto topo = build_two_tier(network, cfg);
 
-  const Partition part = partition_network(network, 4);
+  const Partition part = shard_network(network, engine);
   const int f = part.shard_of_node[topo.fabric->id()];
   const int e = part.shard_of_node[topo.front_end->id()];
   const int r0 = part.shard_of_node[topo.tors[0]->id()];
@@ -256,44 +239,47 @@ TEST(Partition, TwoTierLookaheadMatrixAtFourShards) {
   ASSERT_NE(r1, e);
 
   using sim::SimTime;
-  EXPECT_EQ(part.lookahead_between(f, e), SimTime::micros(10));
-  EXPECT_EQ(part.lookahead_between(e, f), SimTime::micros(10));
-  EXPECT_EQ(part.lookahead_between(r0, f), SimTime::micros(20));
-  EXPECT_EQ(part.lookahead_between(f, r0), SimTime::micros(20));
+  EXPECT_EQ(engine.lookahead_between(f, e), SimTime::micros(10));
+  EXPECT_EQ(engine.lookahead_between(e, f), SimTime::micros(10));
+  EXPECT_EQ(engine.lookahead_between(r0, f), SimTime::micros(20));
+  EXPECT_EQ(engine.lookahead_between(f, r0), SimTime::micros(20));
   // Multi-hop closures: rack -> fabric -> frontend, rack -> fabric -> rack.
-  EXPECT_EQ(part.lookahead_between(r0, e), SimTime::micros(30));
-  EXPECT_EQ(part.lookahead_between(e, r0), SimTime::micros(30));
-  EXPECT_EQ(part.lookahead_between(r0, r1), SimTime::micros(40));
-  EXPECT_EQ(part.lookahead_between(r1, r0), SimTime::micros(40));
+  EXPECT_EQ(engine.lookahead_between(r0, e), SimTime::micros(30));
+  EXPECT_EQ(engine.lookahead_between(e, r0), SimTime::micros(30));
+  EXPECT_EQ(engine.lookahead_between(r0, r1), SimTime::micros(40));
+  EXPECT_EQ(engine.lookahead_between(r1, r0), SimTime::micros(40));
   // Diagonals are min cycles: fabric -> frontend -> fabric, and
   // rack -> fabric -> rack.
-  EXPECT_EQ(part.lookahead_between(f, f), SimTime::micros(20));
-  EXPECT_EQ(part.lookahead_between(e, e), SimTime::micros(20));
-  EXPECT_EQ(part.lookahead_between(r0, r0), SimTime::micros(40));
+  EXPECT_EQ(engine.lookahead_between(f, f), SimTime::micros(20));
+  EXPECT_EQ(engine.lookahead_between(e, e), SimTime::micros(20));
+  EXPECT_EQ(engine.lookahead_between(r0, r0), SimTime::micros(40));
 }
 
 TEST(Partition, TwoTierLookaheadMatrixAtTwoAndEightShards) {
-  sim::Simulator sim;
-  net::Network network{&sim};
   TwoTierConfig cfg;
   cfg.num_switches = 5;
   cfg.servers_per_switch = 6;
-  const auto topo = build_two_tier(network, cfg);
 
   // 2 shards: fabric and frontend land apart (fabric is the heaviest
   // group); their 10 us link is the shortest cut in both directions.
-  const Partition two = partition_network(network, 2);
-  const int f2 = two.shard_of_node[topo.fabric->id()];
-  const int e2 = two.shard_of_node[topo.front_end->id()];
+  sim::ShardedEngine two{2};
+  net::Network network2{&two.control()};
+  const auto topo2 = build_two_tier(network2, cfg);
+  const Partition part2 = shard_network(network2, two);
+  const int f2 = part2.shard_of_node[topo2.fabric->id()];
+  const int e2 = part2.shard_of_node[topo2.front_end->id()];
   ASSERT_NE(f2, e2);
   EXPECT_EQ(two.lookahead_between(f2, e2), sim::SimTime::micros(10));
   EXPECT_EQ(two.lookahead_between(e2, f2), sim::SimTime::micros(10));
 
   // 8 shards: 7 groups leave one shard empty — nothing reaches it and it
   // reaches nothing, so its whole row and column stay at max().
-  const Partition eight = partition_network(network, 8);
+  sim::ShardedEngine eight{8};
+  net::Network network8{&eight.control()};
+  const auto topo8 = build_two_tier(network8, cfg);
+  const Partition part8 = shard_network(network8, eight);
   std::vector<bool> used(8, false);
-  for (const int s : eight.shard_of_node) used[static_cast<std::size_t>(s)] = true;
+  for (const int s : part8.shard_of_node) used[static_cast<std::size_t>(s)] = true;
   int empty = -1;
   for (int s = 0; s < 8; ++s) {
     if (!used[static_cast<std::size_t>(s)]) empty = s;
@@ -303,9 +289,9 @@ TEST(Partition, TwoTierLookaheadMatrixAtTwoAndEightShards) {
     EXPECT_EQ(eight.lookahead_between(empty, s), sim::SimTime::max());
     EXPECT_EQ(eight.lookahead_between(s, empty), sim::SimTime::max());
   }
-  const int f8 = eight.shard_of_node[topo.fabric->id()];
-  const int e8 = eight.shard_of_node[topo.front_end->id()];
-  const int r8 = eight.shard_of_node[topo.tors[0]->id()];
+  const int f8 = part8.shard_of_node[topo8.fabric->id()];
+  const int e8 = part8.shard_of_node[topo8.front_end->id()];
+  const int r8 = part8.shard_of_node[topo8.tors[0]->id()];
   ASSERT_NE(f8, e8);
   ASSERT_NE(r8, f8);
   EXPECT_EQ(eight.lookahead_between(f8, e8), sim::SimTime::micros(10));
@@ -317,12 +303,12 @@ TEST(Partition, TwoTierLookaheadMatrixAtTwoAndEightShards) {
 TEST(Partition, FatTreeLookaheadMatrixAtTwoFourEightShards) {
   using sim::SimTime;
   for (const int shards : {2, 4, 8}) {
-    sim::Simulator sim;
-    net::Network network{&sim};
+    sim::ShardedEngine engine{shards};
+    net::Network network{&engine.control()};
     FatTreeConfig cfg;
     cfg.k = 4;
     const auto topo = build_fat_tree(network, cfg);
-    const Partition part = partition_network(network, shards);
+    const Partition part = shard_network(network, engine);
     SCOPED_TRACE("fat_tree @ " + std::to_string(shards) + " shards");
 
     const int half = cfg.k / 2;
@@ -334,9 +320,9 @@ TEST(Partition, FatTreeLookaheadMatrixAtTwoFourEightShards) {
     }
     for (int pod = 0; pod < cfg.k; ++pod) {
       if (pod_shard[static_cast<std::size_t>(pod)] == core) continue;
-      EXPECT_EQ(part.lookahead_between(pod_shard[static_cast<std::size_t>(pod)], core),
+      EXPECT_EQ(engine.lookahead_between(pod_shard[static_cast<std::size_t>(pod)], core),
                 SimTime::micros(10));
-      EXPECT_EQ(part.lookahead_between(core, pod_shard[static_cast<std::size_t>(pod)]),
+      EXPECT_EQ(engine.lookahead_between(core, pod_shard[static_cast<std::size_t>(pod)]),
                 SimTime::micros(10));
     }
     for (int a = 0; a < cfg.k; ++a) {
@@ -345,7 +331,7 @@ TEST(Partition, FatTreeLookaheadMatrixAtTwoFourEightShards) {
         const int sb = pod_shard[static_cast<std::size_t>(b)];
         if (sa == sb || sa == core || sb == core) continue;
         // Pods never touch directly; the closure routes through the core.
-        EXPECT_EQ(part.lookahead_between(sa, sb), SimTime::micros(20));
+        EXPECT_EQ(engine.lookahead_between(sa, sb), SimTime::micros(20));
       }
     }
   }
@@ -355,8 +341,8 @@ TEST(Partition, AsymmetricCutDelaysStayDirectional) {
   // A hand-built two-node topology with different per-direction delays:
   // the matrix must keep 5 us one way and 9 us the other, unlike the
   // direction-blind global lookahead (which collapses to 5 us).
-  sim::Simulator sim;
-  net::Network network{&sim};
+  sim::ShardedEngine engine{2};
+  net::Network network{&engine.control()};
   auto* a = network.add_host("a");
   a->set_part_group(0);
   auto* b = network.add_host("b");
@@ -366,17 +352,17 @@ TEST(Partition, AsymmetricCutDelaysStayDirectional) {
   network.connect(*a, *b, a_to_b, b_to_a);
   network.build_routes();
 
-  const Partition part = partition_network(network, 2);
+  const Partition part = shard_network(network, engine);
   const int sa = part.shard_of_node[a->id()];
   const int sb = part.shard_of_node[b->id()];
   ASSERT_NE(sa, sb);
-  EXPECT_EQ(part.min_cut_delay, sim::SimTime::micros(5));
-  EXPECT_EQ(part.lookahead_between(sa, sb), sim::SimTime::micros(5));
-  EXPECT_EQ(part.lookahead_between(sb, sa), sim::SimTime::micros(9));
+  EXPECT_EQ(engine.lookahead(), sim::SimTime::micros(5));
+  EXPECT_EQ(engine.lookahead_between(sa, sb), sim::SimTime::micros(5));
+  EXPECT_EQ(engine.lookahead_between(sb, sa), sim::SimTime::micros(9));
   // Diagonal cycle: out and back.
-  EXPECT_EQ(part.lookahead_between(sa, sa), sim::SimTime::micros(14));
-  EXPECT_EQ(part.lookahead_between(sb, sb), sim::SimTime::micros(14));
-  EXPECT_THROW(part.lookahead_between(2, 0), ConfigError);
+  EXPECT_EQ(engine.lookahead_between(sa, sa), sim::SimTime::micros(14));
+  EXPECT_EQ(engine.lookahead_between(sb, sb), sim::SimTime::micros(14));
+  EXPECT_THROW(engine.lookahead_between(2, 0), ConfigError);
 }
 
 TEST(Partition, ZeroDelayCutLinkRejectedByEngine) {
@@ -395,7 +381,6 @@ TEST(Partition, ZeroDelayCutLinkRejectedByEngine) {
 
   const Partition part = partition_network(network, 2);
   ASSERT_EQ(part.cut_links, 2);
-  EXPECT_EQ(part.min_cut_delay, sim::SimTime::zero());
   EXPECT_THROW(shard_network(network, engine), ConfigError);
 }
 
