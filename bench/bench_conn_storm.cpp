@@ -117,8 +117,7 @@ int main() {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [results, failures] =
       exp::run_parallel_collect(cfgs, exp::run_connection_storm);
-  const double batch_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double batch_wall = bench::seconds_since(t0);
   exp::report_job_failures("bench_conn_storm", failures);
 
   obs::RunReport report{"conn_storm"};

@@ -39,8 +39,7 @@ int main() {
   });
 
   http::OnOffSource source{&world.simulator, flow.sender.get(),
-                           http::TrainWorkload{sim::Rng{exp::base_seed()}},
-                           http::OnOffSource::Pacing::kAfterCompletion};
+                           http::TrainWorkload{sim::Rng{exp::base_seed()}}};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(400));
   world.simulator.run_until(sim::SimTime::seconds(2));
 

@@ -7,7 +7,6 @@
 
 #include "bench_util.hpp"
 #include "exp/impairment_scenario.hpp"
-#include "stats/csv.hpp"
 #include "stats/table.hpp"
 
 using namespace trim;
@@ -25,13 +24,13 @@ int main() {
   report.set_telemetry(r.telemetry);
   report.add_scalar("total_drops", static_cast<double>(r.total_drops));
   report.add_scalar("last_lpt_completion_s", r.last_lpt_completion.to_seconds());
+  report.add_series("fig04a_throughput", r.throughput_mbps, "mbps");
+  report.add_series("fig04b_cwnd_conn5", r.cwnd_last_conn, "segments");
+  report.add_series("fig04_queue", r.queue_trace, "packets");
   bench::finish_report(report);
 
   bench::print_series("(a) bottleneck throughput (10 ms bins):",
                       r.throughput_mbps, 30, " Mbps");
-  stats::maybe_write_series("fig04a_throughput", r.throughput_mbps, "mbps");
-  stats::maybe_write_series("fig04b_cwnd_conn5", r.cwnd_last_conn, "segments");
-  stats::maybe_write_series("fig04_queue", r.queue_trace, "packets");
   std::printf("\n");
   bench::print_series("(b) congestion window of connection 5 (segments):",
                       r.cwnd_last_conn, 30);

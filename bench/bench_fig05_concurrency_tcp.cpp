@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
+#include "exp/parallel_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -36,7 +37,7 @@ int main() {
       }
     }
   }
-  const auto results = run_concurrency_batch(cfgs);
+  const auto results = exp::run_parallel(cfgs, exp::run_concurrency);
 
   obs::RunReport report{"fig05_concurrency_tcp"};
   bench::merge_telemetry(report, results);

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
+#include "exp/parallel_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -35,7 +36,7 @@ int main() {
       cfgs.push_back(cfg);
     }
   }
-  const auto results = run_concurrency_batch(cfgs);
+  const auto results = exp::run_parallel(cfgs, exp::run_concurrency);
 
   obs::RunReport report{"fig07_concurrency_trim"};
   bench::merge_telemetry(report, results);

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/large_scale_scenario.hpp"
+#include "exp/parallel_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -39,9 +40,8 @@ int main() {
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = run_large_scale_batch(cfgs);
-  const double batch_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const auto results = exp::run_parallel(cfgs, exp::run_large_scale);
+  const double batch_wall = bench::seconds_since(t0);
   obs::RunReport report{"fig08_large_scale"};
   report.add_perf("large_scale_batch", static_cast<double>(cfgs.size()) / batch_wall,
                   {{"runs", static_cast<double>(cfgs.size())},

@@ -7,7 +7,6 @@
 #include "bench_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/properties_scenario.hpp"
-#include "stats/csv.hpp"
 #include "stats/table.hpp"
 
 using namespace trim;
@@ -27,9 +26,8 @@ int main() {
     bench::print_series(
         "(a) switch queue with 5 LPTs — " + tcp::to_string(proto) + " (pkts):",
         r.queue_trace, 24);
-    stats::maybe_write_series(
-        "fig09a_queue_" + tcp::to_string(proto),
-        r.queue_trace.downsampled(20000), "packets");
+    report.add_series("fig09a_queue_" + tcp::to_string(proto),
+                      r.queue_trace.downsampled(20000), "packets");
     std::printf("\n");
     tele.merge(r.telemetry);
   }

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/fattree_scenario.hpp"
+#include "exp/parallel_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -37,7 +38,7 @@ int main() {
       }
     }
   }
-  const auto results = run_fattree_batch(cfgs);
+  const auto results = exp::run_parallel(cfgs, exp::run_fattree);
 
   obs::RunReport report{"fig12_fattree"};
   bench::merge_telemetry(report, results);

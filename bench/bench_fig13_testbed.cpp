@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/testbed_scenario.hpp"
-#include "stats/csv.hpp"
 #include "stats/table.hpp"
 
 using namespace trim;
@@ -67,8 +66,8 @@ int main() {
     cfg.responses_per_server = exp::quick_mode() ? 250 : 1000;
     cfg.seed = exp::run_seed(0x1301, 0);
     const auto r = run_web_service(cfg);
-    stats::maybe_write_cdf("fig13e_cdf_" + tcp::to_string(proto), r.completion_cdf_ms,
-                           "completion_ms");
+    report.add_cdf("fig13e_cdf_" + tcp::to_string(proto), r.completion_cdf_ms,
+                   "completion_ms");
     const auto mid = r.mid_band_ms();
     int over_50 = 0;
     for (const auto& s : r.samples) {

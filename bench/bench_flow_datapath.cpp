@@ -25,10 +25,6 @@ using namespace trim;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 // Two directly linked hosts, clean unbounded queues — the minimal rig for
 // isolating transport-layer cost from fabric contention.
 struct HostPair {
@@ -75,7 +71,7 @@ void bench_ack_processing(obs::RunReport& report) {
   const auto t0 = std::chrono::steady_clock::now();
   sender.write(kMsgBytes);
   net.sim.run();
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
 
   const double acked = static_cast<double>(sender.stats().acked_segments);
   std::printf("ack_processing:   %10.0f acked segs/s  (%d msgs, state %zu B)\n",
@@ -111,7 +107,7 @@ void bench_sender_memory(obs::RunReport& report) {
   const auto t0 = std::chrono::steady_clock::now();
   sender.write(kMsgBytes);
   net.sim.run();
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
 
   const double mb = static_cast<double>(sender.bytes_written()) / (1024.0 * 1024.0);
   const auto state_end = sender.datapath_state_bytes();
@@ -157,7 +153,7 @@ void bench_reassembly(obs::RunReport& report) {
     base += kWindow;
     net.sim.run();  // flush the generated ACK burst
   }
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
   const double pkts = static_cast<double>(recv.received_data_packets());
   std::printf("reassembly:       %10.0f ooo pkts/s    (%d rounds of %llu)\n",
               pkts / wall, kRounds, static_cast<unsigned long long>(kWindow));
@@ -179,7 +175,7 @@ void bench_large_scale_4x(obs::RunReport& report) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = run_large_scale(cfg);
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
 
   std::printf("large_scale_4x:   %10.1f s wall        (%d/%d SPTs, ACT %.2f ms, %llu drops, peak RSS %.1f MB)\n",
               wall, r.completed_spts, r.total_spts, r.spt_act_ms,

@@ -33,10 +33,6 @@ using namespace trim;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 // The zero-alloc regression test's scenario, sized up and timed: four
 // long-running Reno flows into one front end through a deep buffer,
 // measured strictly inside the transfers.
@@ -62,7 +58,7 @@ void bench_steady_state(obs::RunReport& report) {
   mem::set_alloc_counting(true);
   const auto t0 = std::chrono::steady_clock::now();
   world.run_until(sim::SimTime::millis(2500));
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
   mem::set_alloc_counting(false);
 
   const auto events =
@@ -101,7 +97,7 @@ void bench_flow_churn(obs::RunReport& report) {
     }
     built += flows.size();
   }  // wave destructs: arena blocks recycle
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
 
   const mem::SimMemory* m = mem::memory_of(&world.simulator);
   const double arena_bytes =
@@ -121,7 +117,7 @@ void bench_large_scale_quick(obs::RunReport& report) {
   cfg.protocol = tcp::Protocol::kReno;
   const auto t0 = std::chrono::steady_clock::now();
   const auto result = exp::run_large_scale(cfg);
-  const double wall = seconds_since(t0);
+  const double wall = bench::seconds_since(t0);
   const auto events = static_cast<double>(result.events_dispatched);
   std::printf("large_scale_quick: %.3g events/s (%.3g events, %.2fs, RSS %.1f MB)\n",
               events / wall, events, wall,

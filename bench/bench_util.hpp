@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -33,6 +34,11 @@ inline void print_series(const std::string& title, const stats::TimeSeries& seri
     }
     std::printf("  t=%8.4fs  %10.2f%s\n", samples[i].at.to_seconds(), peak, unit);
   }
+}
+
+// Wall-clock seconds elapsed since `t0`.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 inline std::string fmt(const char* f, double v) {

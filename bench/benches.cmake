@@ -27,7 +27,6 @@ trim_bench(bench_fig13_testbed)
 trim_bench(bench_ablation_trim)
 
 trim_bench(bench_engine_micro)
-target_link_libraries(bench_engine_micro PRIVATE benchmark::benchmark)
 # The allocation-counting operator new/delete behind allocs_per_op.
 target_sources(bench_engine_micro PRIVATE $<TARGET_OBJECTS:trim_alloc_hook>)
 

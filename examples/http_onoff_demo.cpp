@@ -35,8 +35,7 @@ int main() {
   // ON/OFF source: next train starts one sampled gap after the previous
   // train is fully acked (persistent HTTP request/response pacing).
   http::OnOffSource source{&world.simulator, flow.sender.get(),
-                           http::TrainWorkload{sim::Rng{2016}},
-                           http::OnOffSource::Pacing::kAfterCompletion};
+                           http::TrainWorkload{sim::Rng{2016}}};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(500));
   world.simulator.run_until(sim::SimTime::seconds(3));
 

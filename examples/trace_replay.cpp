@@ -35,8 +35,7 @@ std::vector<http::TrainRecord> record_phase(http::TrainWorkload workload) {
   flow.receiver->set_deliver_callback([&](std::uint64_t bytes) {
     analyzer.observe(world.simulator.now(), static_cast<std::uint32_t>(bytes));
   });
-  http::OnOffSource source{&world.simulator, flow.sender.get(), std::move(workload),
-                           http::OnOffSource::Pacing::kAfterCompletion};
+  http::OnOffSource source{&world.simulator, flow.sender.get(), std::move(workload)};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(800));
   world.simulator.run_until(sim::SimTime::seconds(3));
   return analyzer.finish();

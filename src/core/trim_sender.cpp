@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
-#include "sim/logging.hpp"
 
 namespace trim::core {
 
@@ -83,8 +82,6 @@ void TrimSender::enter_probe_mode() {
   ++stats().probe_rounds;
   obs::emit(simulator(), obs::EventKind::kTrimProbeEnter, flow_id(), saved_cwnd_,
             static_cast<double>(probe_hi_ - probe_lo_));
-  TRIM_LOG(sim::LogLevel::kDebug, simulator(), "flow %u: probe mode (saved cwnd %.1f)",
-           flow_id(), saved_cwnd_);
 }
 
 void TrimSender::cc_before_send(net::Packet& p) {
@@ -126,9 +123,6 @@ void TrimSender::finish_probe(bool acks_in_time) {
     set_ssthresh(tuned);
     obs::emit(simulator(), obs::EventKind::kTrimResumeEq1, flow_id(), tuned,
               probe_rtt.to_seconds());
-    TRIM_LOG(sim::LogLevel::kDebug, simulator(),
-             "flow %u: probe done rtt=%.1fus -> cwnd %.1f", flow_id(),
-             probe_rtt.to_micros(), tuned);
   } else {
     set_cwnd(kMinWindow);
     set_ssthresh(std::max(saved_cwnd_ / 2.0, kMinWindow));

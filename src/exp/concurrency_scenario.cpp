@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "exp/parallel_runner.hpp"
 #include "http/lpt_source.hpp"
 #include "stats/summary.hpp"
 #include "topo/many_to_one.hpp"
@@ -108,11 +107,6 @@ ConcurrencyResult run_concurrency(const ConcurrencyConfig& cfg) {
   }
   result.telemetry = world.telemetry_snapshot();
   return result;
-}
-
-std::vector<ConcurrencyResult> run_concurrency_batch(
-    const std::vector<ConcurrencyConfig>& cfgs) {
-  return run_parallel(cfgs, run_concurrency);
 }
 
 }  // namespace trim::exp

@@ -50,10 +50,4 @@ struct ConcurrencyResult {
 
 ConcurrencyResult run_concurrency(const ConcurrencyConfig& cfg);
 
-// Batch variant: independent runs fan out across REPRO_JOBS workers (see
-// exp/parallel_runner.hpp); results come back in submission order, so the
-// output is bit-identical to a serial loop over the configs.
-std::vector<ConcurrencyResult> run_concurrency_batch(
-    const std::vector<ConcurrencyConfig>& cfgs);
-
 }  // namespace trim::exp

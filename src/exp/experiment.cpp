@@ -113,7 +113,7 @@ World::~World() {
     }
     obs::write_chrome_trace(shards);
   } catch (const std::exception& e) {
-    sim::log_message(sim::LogLevel::kWarn, 0.0, "trace export: %s", e.what());
+    sim::warn(0.0, "trace export: %s", e.what());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "exp/parallel_runner.hpp"
 #include "stats/summary.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/partition.hpp"
@@ -99,11 +98,6 @@ FattreeResult run_fattree(const FattreeConfig& cfg) {
     result.shard_events.push_back(st.window_events);
   }
   return result;
-}
-
-std::vector<FattreeResult> run_fattree_batch(
-    const std::vector<FattreeConfig>& cfgs) {
-  return run_parallel(cfgs, run_fattree);
 }
 
 }  // namespace trim::exp

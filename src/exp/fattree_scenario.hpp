@@ -65,10 +65,4 @@ struct FattreeResult {
 
 FattreeResult run_fattree(const FattreeConfig& cfg);
 
-// Batch variant: independent runs fan out across REPRO_JOBS workers (see
-// exp/parallel_runner.hpp); results come back in submission order, so the
-// output is bit-identical to a serial loop over the configs.
-std::vector<FattreeResult> run_fattree_batch(
-    const std::vector<FattreeConfig>& cfgs);
-
 }  // namespace trim::exp

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "exp/parallel_runner.hpp"
 #include "http/lpt_source.hpp"
 #include "http/train_workload.hpp"
 #include "stats/summary.hpp"
@@ -112,11 +111,6 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
     result.shard_events.push_back(st.window_events);
   }
   return result;
-}
-
-std::vector<LargeScaleResult> run_large_scale_batch(
-    const std::vector<LargeScaleConfig>& cfgs) {
-  return run_parallel(cfgs, run_large_scale);
 }
 
 }  // namespace trim::exp

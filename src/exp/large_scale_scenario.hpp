@@ -65,10 +65,4 @@ struct LargeScaleResult {
 
 LargeScaleResult run_large_scale(const LargeScaleConfig& cfg);
 
-// Batch variant: independent runs fan out across REPRO_JOBS workers (see
-// exp/parallel_runner.hpp); results come back in submission order, so the
-// output is bit-identical to a serial loop over the configs.
-std::vector<LargeScaleResult> run_large_scale_batch(
-    const std::vector<LargeScaleConfig>& cfgs);
-
 }  // namespace trim::exp

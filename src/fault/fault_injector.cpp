@@ -6,7 +6,6 @@
 #include "net/routing.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/config_error.hpp"
-#include "sim/logging.hpp"
 
 namespace trim::fault {
 
@@ -104,14 +103,12 @@ void FaultInjector::attach(net::Link& link) {
       down_ = true;
       drops_at_down_ = stats_.link_down_drops;
       obs::emit(sim_, obs::EventKind::kFaultLinkDown, subject_);
-      TRIM_LOG(sim::LogLevel::kInfo, sim_, "fault: link %s DOWN", link_->name().c_str());
     }));
     flap_events_.push_back(sim_->schedule_at(flap.up_at, [this] {
       down_ = false;
       ++stats_.flaps_completed;
       obs::emit(sim_, obs::EventKind::kFaultLinkUp, subject_,
                 static_cast<double>(stats_.link_down_drops - drops_at_down_));
-      TRIM_LOG(sim::LogLevel::kInfo, sim_, "fault: link %s UP", link_->name().c_str());
     }));
   }
 }

@@ -69,11 +69,6 @@ void InvariantChecker::watch(FaultInjector& injector) {
   injectors_.push_back(&injector);
 }
 
-void InvariantChecker::add_check(std::string name,
-                                 std::function<std::optional<std::string>()> fn) {
-  custom_.push_back({std::move(name), std::move(fn)});
-}
-
 void InvariantChecker::report(std::string invariant, std::string detail) {
   violations_.push_back({std::move(invariant), std::move(detail), sim_->now()});
 }
@@ -84,9 +79,6 @@ void InvariantChecker::check_now() {
   check_senders();
   check_receivers();
   check_listen_queues();
-  for (const auto& c : custom_) {
-    if (auto detail = c.fn()) report(c.name, *detail);
-  }
 }
 
 void InvariantChecker::schedule_checkpoints(sim::SimTime interval,

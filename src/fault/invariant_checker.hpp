@@ -34,12 +34,9 @@
 //
 // Violations are recorded (not thrown) so a sweep can report every broken
 // run; exp::InvariantScope turns them into a loud failure at scope exit.
-// Custom invariants can be added with add_check().
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,12 +88,6 @@ class InvariantChecker {
   // are legitimate packet sources/sinks). An attached-but-unwatched
   // injector will be reported as a conservation leak — by design.
   void watch(FaultInjector& injector);
-  void forget_senders() { senders_.clear(); }
-
-  // Custom invariant: return std::nullopt when satisfied, otherwise the
-  // violation detail. Runs at every checkpoint after the built-ins.
-  void add_check(std::string name,
-                 std::function<std::optional<std::string>()> fn);
 
   // Run every check at the current simulation time.
   void check_now();
@@ -108,8 +99,8 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t checkpoints_run() const { return checkpoints_; }
 
-  // For custom checks that want richer reporting than the return-string
-  // API: record a violation directly.
+  // Record a violation found outside the built-in checks (a scenario's
+  // own end-of-run invariants).
   void report(std::string invariant, std::string detail);
 
  private:
@@ -124,11 +115,6 @@ class InvariantChecker {
   std::vector<tcp::TcpReceiver*> receivers_;
   std::vector<tcp::ListenQueue*> listen_queues_;
   std::vector<FaultInjector*> injectors_;
-  struct NamedCheck {
-    std::string name;
-    std::function<std::optional<std::string>()> fn;
-  };
-  std::vector<NamedCheck> custom_;
   std::vector<Violation> violations_;
   std::uint64_t checkpoints_ = 0;
 };

@@ -7,8 +7,8 @@
 namespace trim::http {
 
 OnOffSource::OnOffSource(sim::Simulator* sim, tcp::TcpSender* sender,
-                         TrainWorkload workload, Pacing pacing)
-    : sim_{sim}, sender_{sender}, workload_{std::move(workload)}, pacing_{pacing} {
+                         TrainWorkload workload)
+    : sim_{sim}, sender_{sender}, workload_{std::move(workload)} {
   if (sim_ == nullptr || sender_ == nullptr) {
     throw ConfigError{"null simulator or sender", "OnOffSource"};
   }
@@ -20,21 +20,12 @@ void OnOffSource::run(sim::SimTime start, sim::SimTime stop) {
   }
   stop_ = stop;
 
-  if (pacing_ == Pacing::kAfterCompletion) {
-    // Close the loop through the transport: gap starts when the previous
-    // train is fully acked.
-    sender_->add_message_complete_callback([this](std::uint64_t, sim::SimTime now) {
-      schedule_next(now + workload_.sample_gap());
-    });
-    schedule_next(start);
-  } else {
-    // Open loop: draw every train start up front.
-    sim::SimTime t = start;
-    while (t < stop_) {
-      sim_->schedule_at(t, [this] { emit_train(); });
-      t += workload_.sample_gap();
-    }
-  }
+  // Close the loop through the transport: gap starts when the previous
+  // train is fully acked.
+  sender_->add_message_complete_callback([this](std::uint64_t, sim::SimTime now) {
+    schedule_next(now + workload_.sample_gap());
+  });
+  schedule_next(start);
 }
 
 void OnOffSource::schedule_next(sim::SimTime at) {

@@ -1,13 +1,7 @@
 // ON/OFF traffic source: emits packet trains separated by OFF gaps on one
-// persistent connection — the HTTP traffic shape of Sec. II-A.
-//
-// Two pacing modes:
-//  * kAfterCompletion — the next train is scheduled one gap after the
-//    previous train is fully acked (serialized request/response exchange
-//    on a persistent connection; used for the testbed-style workloads).
-//  * kOpenLoop — train start times are drawn up front, independent of
-//    transport progress (the paper's Sec. II motivation experiments
-//    schedule responses this way).
+// persistent connection — the HTTP traffic shape of Sec. II-A. The next
+// train is scheduled one gap after the previous train is fully acked
+// (serialized request/response exchange on a persistent connection).
 #pragma once
 
 #include <cstdint>
@@ -21,10 +15,7 @@ namespace trim::http {
 
 class OnOffSource {
  public:
-  enum class Pacing { kAfterCompletion, kOpenLoop };
-
-  OnOffSource(sim::Simulator* sim, tcp::TcpSender* sender, TrainWorkload workload,
-              Pacing pacing);
+  OnOffSource(sim::Simulator* sim, tcp::TcpSender* sender, TrainWorkload workload);
 
   // Emit trains from `start` until `stop` (train starts after `stop` are
   // suppressed; an in-flight train completes naturally).
@@ -40,7 +31,6 @@ class OnOffSource {
   sim::Simulator* sim_;
   tcp::TcpSender* sender_;
   TrainWorkload workload_;
-  Pacing pacing_;
   sim::SimTime stop_;
   std::uint64_t trains_emitted_ = 0;
   std::uint64_t bytes_emitted_ = 0;

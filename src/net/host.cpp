@@ -4,7 +4,6 @@
 
 #include "net/link.hpp"
 #include "sim/config_error.hpp"
-#include "sim/logging.hpp"
 
 namespace trim::net {
 
@@ -64,8 +63,6 @@ void Host::receive(Packet p) {
     // The frame failed its checksum (fault/fault_injector.hpp): it used
     // link bandwidth but no transport layer ever sees it.
     ++corrupt_dropped_;
-    TRIM_LOG(sim::LogLevel::kDebug, sim_, "host %s: dropped corrupt %s", name_.c_str(),
-             p.describe().c_str());
     return;
   }
   Agent* agent = nullptr;
@@ -80,8 +77,6 @@ void Host::receive(Packet p) {
       default_agent_->on_packet(p);
       return;
     }
-    TRIM_LOG(sim::LogLevel::kDebug, sim_, "host %s: no agent for %s", name_.c_str(),
-             p.describe().c_str());
     return;
   }
   ++delivered_to_agent_;

@@ -9,8 +9,8 @@ void Switch::receive(Packet p) {
   const auto ports = routes_.ports_for(p.dst);
   if (ports.empty()) {
     ++unroutable_;
-    TRIM_LOG(sim::LogLevel::kWarn, sim_, "switch %s: no route for %s", name_.c_str(),
-             p.describe().c_str());
+    sim::warn(sim_->now().to_seconds(), "switch %s: no route for %s", name_.c_str(),
+              p.describe().c_str());
     return;
   }
   const std::size_t port = ecmp_pick(ports, p.flow, id_);

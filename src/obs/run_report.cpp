@@ -57,10 +57,10 @@ double peak_rss_bytes() {
 void RunReport::add_flow(FlowSummary flow) {
   if (flows_.size() >= kMaxFlows) {
     if (flows_truncated_ == 0) {
-      sim::log_message(sim::LogLevel::kWarn, 0.0,
-                       "run report %s: per-flow summaries capped at %zu; "
-                       "further flows are counted in flows_truncated",
-                       name_.c_str(), kMaxFlows);
+      sim::warn(0.0,
+                "run report %s: per-flow summaries capped at %zu; "
+                "further flows are counted in flows_truncated",
+                name_.c_str(), kMaxFlows);
     }
     ++flows_truncated_;
     return;
@@ -68,9 +68,31 @@ void RunReport::add_flow(FlowSummary flow) {
   flows_.push_back(std::move(flow));
 }
 
+void RunReport::add_series(std::string name, const stats::TimeSeries& series,
+                           std::string value_column) {
+  Series s{std::move(name), "time_s", std::move(value_column), {}};
+  s.points.reserve(series.size());
+  for (const auto& sample : series.samples()) {
+    s.points.emplace_back(sample.at.to_seconds(), sample.value);
+  }
+  series_.push_back(std::move(s));
+}
+
+void RunReport::add_cdf(std::string name, const stats::Cdf& cdf,
+                        std::string value_column) {
+  Series s{std::move(name), std::move(value_column), "cum_prob", {}};
+  const auto values = cdf.sorted_values();
+  s.points.reserve(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    s.points.emplace_back(values[i], static_cast<double>(i + 1) /
+                                         static_cast<double>(values.size()));
+  }
+  series_.push_back(std::move(s));
+}
+
 std::string RunReport::to_json() const {
   std::string out = "{\n";
-  out += "  \"schema_version\": 2,\n";
+  out += "  \"schema_version\": 3,\n";
   out += "  \"report\": \"" + name_ + "\",\n";
   out += std::string{"  \"quick\": "} + (quick_env() ? "true" : "false") + ",\n";
   out += "  \"peak_rss_bytes\": " + num(peak_rss_bytes()) + ",\n";
@@ -164,6 +186,22 @@ std::string RunReport::to_json() const {
     out += rows.empty() ? "],\n" : "\n  ],\n";
   };
   append_rows("rows", rows_);
+
+  // "series": one object per curve, one point per line.
+  out += "  \"series\": [";
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    const auto& s = series_[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "    {\"name\": \"" + s.name + "\", \"columns\": [\"" + s.x_column +
+           "\", \"" + s.y_column + "\"], \"points\": [";
+    for (std::size_t k = 0; k < s.points.size(); ++k) {
+      out += k == 0 ? "\n      [" : ",\n      [";
+      out += num(s.points[k].first) + ", " + num(s.points[k].second) + "]";
+    }
+    out += s.points.empty() ? "]}" : "\n    ]}";
+  }
+  out += series_.empty() ? "],\n" : "\n  ],\n";
+
   append_rows("perf", perf_);
 
   out += "  \"profile\": [";
@@ -186,16 +224,14 @@ std::string RunReport::write() const {
   const std::string path = dir + "/REPORT_" + name_ + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    sim::log_message(sim::LogLevel::kWarn, 0.0,
-                     "run report: cannot open %s for writing", path.c_str());
+    sim::warn(0.0, "run report: cannot open %s for writing", path.c_str());
     return {};
   }
   const std::string json = to_json();
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   std::fclose(f);
   if (!ok) {
-    sim::log_message(sim::LogLevel::kWarn, 0.0, "run report: short write to %s",
-                     path.c_str());
+    sim::warn(0.0, "run report: short write to %s", path.c_str());
     return {};
   }
   return path;

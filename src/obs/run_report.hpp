@@ -5,6 +5,8 @@
 //   - "events": nonzero flight-recorder counts by kind,
 //   - "flows": per-flow summaries (capped; see flows_truncated),
 //   - "rows": per-scenario result rows (sweep points),
+//   - "series": the curves a figure plots (time series and CDFs), each a
+//     name, two column names and its points,
 //   - "perf": wall-clock measurement rows {scenario, items_per_sec, ...},
 //   - "profile": wall-time phases from obs::Profiler.
 // "perf", "profile" and the header's peak_rss_bytes and hw_threads are the
@@ -22,6 +24,8 @@
 
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
+#include "stats/cdf.hpp"
+#include "stats/time_series.hpp"
 
 namespace trim::obs {
 
@@ -67,6 +71,14 @@ class RunReport {
     rows_.push_back({std::move(scenario), std::move(values)});
   }
 
+  // One curve for the "series" section. A time series becomes
+  // (time_s, value_column) points, one per sample; a CDF becomes
+  // (value_column, cum_prob) points over its sorted samples, the i-th
+  // (0-based) of n at probability (i+1)/n.
+  void add_series(std::string name, const stats::TimeSeries& series,
+                  std::string value_column);
+  void add_cdf(std::string name, const stats::Cdf& cdf, std::string value_column);
+
   // One wall-clock measurement row for the "perf" section: a throughput
   // (the column the perf-regression gate reads) plus any other timing.
   void add_perf(std::string scenario, double items_per_sec,
@@ -88,6 +100,13 @@ class RunReport {
     std::vector<std::pair<std::string, double>> values;
   };
 
+  struct Series {
+    std::string name;
+    std::string x_column;
+    std::string y_column;
+    std::vector<std::pair<double, double>> points;
+  };
+
   std::string name_;
   TelemetrySnapshot telemetry_;
   std::vector<PhaseSnapshot> profile_;
@@ -95,6 +114,7 @@ class RunReport {
   std::vector<FlowSummary> flows_;
   std::size_t flows_truncated_ = 0;
   std::vector<Row> rows_;
+  std::vector<Series> series_;
   std::vector<Row> perf_;
 };
 

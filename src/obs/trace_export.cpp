@@ -128,14 +128,12 @@ std::string write_chrome_trace(const std::vector<TraceShard>& shards) {
   const std::string path = dir + "/TRACE_" + std::to_string(n) + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    sim::log_message(sim::LogLevel::kWarn, 0.0,
-                     "trace export: cannot open %s for writing", path.c_str());
+    sim::warn(0.0, "trace export: cannot open %s for writing", path.c_str());
     return {};
   }
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
   if (std::fclose(f) != 0 || !ok) {
-    sim::log_message(sim::LogLevel::kWarn, 0.0,
-                     "trace export: short write to %s", path.c_str());
+    sim::warn(0.0, "trace export: short write to %s", path.c_str());
     return {};
   }
   return path;

@@ -1,40 +1,31 @@
-// Minimal leveled logging for simulation components.
+// Warnings from simulation components.
 //
-// Logging is off (kWarn) by default so experiment harnesses stay quiet;
-// tests and debugging sessions raise the level per-run. Messages are
-// printf-style formatted with std::snprintf to avoid iostream overhead on
-// hot paths when the level is disabled (the format call is guarded).
+// There is one level: a warning is something a run's owner should see
+// (an unroutable packet, a report or trace that could not be written).
+// Facts a run records as a matter of course go to counters and
+// obs::emit, not here. Messages are printf-style formatted with
+// std::snprintf.
 //
-// The output target is a pluggable LogSink: the default writes to stderr,
-// tests install a capturing sink (sim/logging.hpp: CaptureLogSink) to
-// assert on warnings without scraping process output.
+// The output target is a pluggable LogSink: the default writes
+// "[t=...s] [WARN] message" to stderr, tests install a capturing sink
+// (CaptureLogSink) to assert on warnings without scraping process output.
 #pragma once
 
-#include <cstdarg>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace trim::sim {
 
-enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4 };
-
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-bool log_enabled(LogLevel level);
-
-// Destination for formatted log records. write() receives the final
-// message text (no trailing newline); the level and sim time come
-// separately so sinks can filter or re-format.
+// Destination for formatted warnings. write() receives the final message
+// text (no trailing newline); the sim time comes separately so sinks can
+// re-format.
 class LogSink {
  public:
   virtual ~LogSink() = default;
-  virtual void write(LogLevel level, double sim_time_s,
-                     const std::string& message) = 0;
+  virtual void write(double sim_time_s, const std::string& message) = 0;
 };
 
-// Install `sink` as the process-wide log target; returns the previous
+// Install `sink` as the process-wide warning target; returns the previous
 // sink so callers can restore it. Passing nullptr restores the built-in
 // stderr sink. The caller keeps ownership of `sink` and must keep it
 // alive while installed.
@@ -45,7 +36,6 @@ LogSink* set_log_sink(LogSink* sink);
 class CaptureLogSink : public LogSink {
  public:
   struct Record {
-    LogLevel level;
     double sim_time_s;
     std::string message;
   };
@@ -55,9 +45,8 @@ class CaptureLogSink : public LogSink {
   CaptureLogSink(const CaptureLogSink&) = delete;
   CaptureLogSink& operator=(const CaptureLogSink&) = delete;
 
-  void write(LogLevel level, double sim_time_s,
-             const std::string& message) override {
-    records_.push_back({level, sim_time_s, message});
+  void write(double sim_time_s, const std::string& message) override {
+    records_.push_back({sim_time_s, message});
   }
 
   const std::vector<Record>& records() const { return records_; }
@@ -74,17 +63,10 @@ class CaptureLogSink : public LogSink {
   std::vector<Record> records_;
 };
 
-// Logs "[t=...s] [level] message" through the installed sink (stderr by
-// default) when `level` is enabled.
-void log_message(LogLevel level, double sim_time_s, const char* fmt, ...)
-    __attribute__((format(printf, 3, 4)));
-
-#define TRIM_LOG(level, simulator_ptr, ...)                              \
-  do {                                                                   \
-    if (::trim::sim::log_enabled(level)) {                               \
-      ::trim::sim::log_message(level, (simulator_ptr)->now().to_seconds(), \
-                               __VA_ARGS__);                             \
-    }                                                                    \
-  } while (0)
+// Formats one warning and hands it to the installed sink (stderr by
+// default). `sim_time_s` is the simulation time it refers to, 0 when it
+// belongs to no simulated instant.
+void warn(double sim_time_s, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 }  // namespace trim::sim

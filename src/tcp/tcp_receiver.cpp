@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
-#include "sim/logging.hpp"
 #include "tcp/listen_queue.hpp"
 
 namespace trim::tcp {

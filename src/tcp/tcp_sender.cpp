@@ -11,7 +11,6 @@
 
 #include "mem/sim_memory.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/logging.hpp"
 
 namespace trim::tcp {
 
@@ -339,9 +338,6 @@ void TcpSender::finish_closed(bool graceful) {
 }
 
 void TcpSender::give_up() {
-  TRIM_LOG(sim::LogLevel::kInfo, sim_,
-           "flow %u: lifecycle give-up in %s after %d retransmissions", flow_,
-           to_string(conn_), ctrl_retries_);
   send_rst();
   finish_closed(/*graceful=*/false);
 }
@@ -484,9 +480,6 @@ void TcpSender::on_rto() {
   ++stats_.timeouts;
   obs::emit(sim_, obs::EventKind::kRtoFired, flow_,
             static_cast<double>(rto_backoff_), static_cast<double>(snd_una()));
-  TRIM_LOG(sim::LogLevel::kDebug, sim_, "flow %u: RTO (snd_una=%llu snd_next=%llu cwnd=%.1f)",
-           flow_, static_cast<unsigned long long>(snd_una()),
-           static_cast<unsigned long long>(snd_next()), cwnd());
 
   in_recovery_ = false;
   dupacks_ = 0;

@@ -130,23 +130,5 @@ TEST(InvariantChecker, WatchedInjectorFaultMatrixStaysConserved) {
       << checker.violations().front().detail;
 }
 
-TEST(InvariantChecker, CustomCheckReportsWithItsName) {
-  Incast inc{tcp::Protocol::kReno};
-  InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-  int calls = 0;
-  checker.add_check("always-fails", [&calls]() -> std::optional<std::string> {
-    ++calls;
-    return "synthetic violation";
-  });
-  checker.add_check("always-passes",
-                    []() -> std::optional<std::string> { return std::nullopt; });
-  checker.check_now();
-  checker.check_now();
-  EXPECT_EQ(calls, 2);
-  ASSERT_EQ(checker.violations().size(), 2u);
-  EXPECT_EQ(checker.violations()[0].invariant, "always-fails");
-  EXPECT_EQ(checker.violations()[0].detail, "synthetic violation");
-}
-
 }  // namespace
 }  // namespace trim::fault

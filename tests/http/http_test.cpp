@@ -135,21 +135,10 @@ TEST(HttpResponseApp, SchedulesAndCompletesResponses) {
   EXPECT_LT(summary.max(), 5.0);  // small responses on an idle gigabit path
 }
 
-TEST(OnOffSource, OpenLoopEmitsTrainsInWindow) {
-  AppWorld w;
-  OnOffSource source{&w.world.simulator, w.flow.sender.get(),
-                     TrainWorkload{sim::Rng{3}}, OnOffSource::Pacing::kOpenLoop};
-  source.run(sim::SimTime::millis(10), sim::SimTime::millis(60));
-  w.world.simulator.run_until(sim::SimTime::seconds(2));
-  EXPECT_GT(source.trains_emitted(), 5u);
-  EXPECT_EQ(w.flow.receiver->delivered_bytes(), source.bytes_emitted());
-}
-
 TEST(OnOffSource, ClosedLoopSerializesTrains) {
   AppWorld w;
   OnOffSource source{&w.world.simulator, w.flow.sender.get(),
-                     TrainWorkload{sim::Rng{4}},
-                     OnOffSource::Pacing::kAfterCompletion};
+                     TrainWorkload{sim::Rng{4}}};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(100));
   w.world.simulator.run_until(sim::SimTime::seconds(2));
   EXPECT_GT(source.trains_emitted(), 3u);

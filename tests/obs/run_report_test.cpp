@@ -32,6 +32,9 @@ RunReport sample_report(bool with_perf = true) {
   fs.retransmits = 2;
   report.add_flow(fs);
   report.add_row("point_a", {{"act_ms", 1.25}, {"timeouts", 0.0}});
+  stats::TimeSeries queue;
+  queue.record(sim::SimTime::millis(5), 7.0);
+  report.add_series("queue", queue, "packets");
   if (with_perf) report.add_perf("point_a_batch", 12.5, {{"wall_seconds", 0.75}});
 
   TelemetrySnapshot tele;
@@ -69,7 +72,7 @@ double peak_rss_in(const std::string& json) {
 
 TEST(RunReport, JsonCarriesEverySection) {
   const std::string json = sample_report().to_json();
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"report\": \"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"quick\":"), std::string::npos);
   EXPECT_GT(peak_rss_in(json), 0.0);
@@ -81,12 +84,16 @@ TEST(RunReport, JsonCarriesEverySection) {
   EXPECT_NE(json.find("\"protocol\": \"trim\""), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"point_a\""), std::string::npos);
   EXPECT_NE(json.find("\"act_ms\": 1.25"), std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"queue\", \"columns\": [\"time_s\", \"packets\"], "
+                      "\"points\": [\n      [0.005, 7]\n    ]}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"perf\": [\n    {\"scenario\": \"point_a_batch\", "
                       "\"items_per_sec\": 12.5, \"wall_seconds\": 0.75}"),
             std::string::npos);
   EXPECT_NE(json.find("\"phase\": \"sweep.job\""), std::string::npos);
   // Wall-clock sections follow every deterministic one.
-  EXPECT_LT(json.find("\"rows\":"), json.find("\"perf\":"));
+  EXPECT_LT(json.find("\"rows\":"), json.find("\"series\":"));
+  EXPECT_LT(json.find("\"series\":"), json.find("\"perf\":"));
   EXPECT_LT(json.find("\"perf\":"), json.find("\"profile\":"));
 }
 
@@ -133,6 +140,47 @@ TEST(RunReport, MetricsSectionListsEachKindByName) {
                       "  },\n"),
             std::string::npos)
       << json;
+}
+
+// The "series" section: one object per curve in insertion order, one
+// point per line, each number printed with %.9g. A time series gives
+// (time_s, value) points; a CDF gives (value, cum_prob) over its sorted
+// samples.
+TEST(RunReport, SeriesSectionHoldsTimeSeriesAndCdfPoints) {
+  stats::TimeSeries ts;
+  ts.record(sim::SimTime::millis(1), 2.0);
+  ts.record(sim::SimTime::millis(2), 3.0);
+  stats::Cdf cdf;
+  cdf.add(2.0);
+  cdf.add(1.0);
+  RunReport report{"series"};
+  report.add_series("series_test", ts, "pkts");
+  report.add_cdf("cdf_test", cdf, "ms");
+  report.add_series("empty_test", stats::TimeSeries{}, "pkts");
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("  \"rows\": [],\n"
+                      "  \"series\": [\n"
+                      "    {\"name\": \"series_test\", \"columns\": [\"time_s\", \"pkts\"], "
+                      "\"points\": [\n"
+                      "      [0.001, 2],\n"
+                      "      [0.002, 3]\n"
+                      "    ]},\n"
+                      "    {\"name\": \"cdf_test\", \"columns\": [\"ms\", \"cum_prob\"], "
+                      "\"points\": [\n"
+                      "      [1, 0.5],\n"
+                      "      [2, 1]\n"
+                      "    ]},\n"
+                      "    {\"name\": \"empty_test\", \"columns\": [\"time_s\", \"pkts\"], "
+                      "\"points\": []}\n"
+                      "  ],\n"
+                      "  \"perf\": [],\n"),
+            std::string::npos)
+      << json;
+  // A report without curves still writes the (empty) section.
+  EXPECT_NE(RunReport{"none"}.to_json().find("  \"rows\": [],\n"
+                                             "  \"series\": [],\n"
+                                             "  \"perf\": [],\n"),
+            std::string::npos);
 }
 
 TEST(RunReport, FlowCapTruncatesAndCounts) {

@@ -82,9 +82,8 @@ TEST(Telemetry, WorldAttachesItsBundle) {
 TEST(LogSink, CaptureSinkInterceptsAndRestores) {
   {
     sim::CaptureLogSink capture;
-    sim::log_message(sim::LogLevel::kWarn, 1.5, "queue %s overflowed", "sw0");
+    sim::warn(1.5, "queue %s overflowed", "sw0");
     ASSERT_EQ(capture.records().size(), 1u);
-    EXPECT_EQ(capture.records()[0].level, sim::LogLevel::kWarn);
     EXPECT_DOUBLE_EQ(capture.records()[0].sim_time_s, 1.5);
     EXPECT_TRUE(capture.contains("queue sw0 overflowed"));
     capture.clear();

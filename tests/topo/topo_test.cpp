@@ -20,6 +20,13 @@ bool can_transfer(exp::World& world, net::Host& src, net::Host& dst,
   return flow.sender->idle() && flow.receiver->delivered_bytes() == bytes;
 }
 
+// A k-ary fat tree with every other field at its default.
+FatTreeConfig fat_tree_k(int k) {
+  FatTreeConfig cfg;
+  cfg.k = k;
+  return cfg;
+}
+
 TEST(ManyToOne, StructureAndReachability) {
   exp::World world;
   ManyToOneConfig cfg;
@@ -58,8 +65,9 @@ TEST(ManyToOne, ServerRateOverrideApplies) {
   const auto topo = build_many_to_one(world.network, cfg);
   EXPECT_EQ(topo.servers[0]->out_link(0).bits_per_sec(), 1'100'000'000u);
   EXPECT_EQ(topo.bottleneck->bits_per_sec(), 1'000'000'000u);
-  EXPECT_THROW(build_many_to_one(world.network, ManyToOneConfig{.num_servers = 0}),
-               std::invalid_argument);
+  ManyToOneConfig no_servers;
+  no_servers.num_servers = 0;
+  EXPECT_THROW(build_many_to_one(world.network, no_servers), std::invalid_argument);
 }
 
 TEST(TwoTier, StructureAndCrossRackReachability) {
@@ -94,9 +102,7 @@ TEST(MultiHop, GroupsAndBottlenecksWired) {
 
 TEST(FatTree, StructureCountsMatchKAryFormulae) {
   exp::World world;
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const auto topo = build_fat_tree(world.network, cfg);
+  const auto topo = build_fat_tree(world.network, fat_tree_k(4));
   EXPECT_EQ(topo.hosts.size(), 16u);          // k^3/4
   EXPECT_EQ(topo.core_switches.size(), 4u);   // (k/2)^2
   EXPECT_EQ(topo.agg_switches.size(), 8u);    // k * k/2
@@ -106,7 +112,7 @@ TEST(FatTree, StructureCountsMatchKAryFormulae) {
 
 TEST(FatTree, IntraPodAndInterPodRouting) {
   exp::World world;
-  const auto topo = build_fat_tree(world.network, FatTreeConfig{.k = 4});
+  const auto topo = build_fat_tree(world.network, fat_tree_k(4));
   // Same edge switch.
   EXPECT_TRUE(can_transfer(world, *topo.hosts[0], *topo.hosts[1]));
   // Same pod, different edge switch.
@@ -117,7 +123,7 @@ TEST(FatTree, IntraPodAndInterPodRouting) {
 
 TEST(FatTree, EcmpUsesMultipleCores) {
   exp::World world;
-  const auto topo = build_fat_tree(world.network, FatTreeConfig{.k = 4});
+  const auto topo = build_fat_tree(world.network, fat_tree_k(4));
   // Many flows from pod 0 to pod 3: the cores should share the load.
   std::vector<tcp::Flow> flows;
   for (int i = 0; i < 32; ++i) {
@@ -137,9 +143,9 @@ TEST(FatTree, EcmpUsesMultipleCores) {
 
 TEST(FatTree, RejectsOddK) {
   exp::World world;
-  EXPECT_THROW(build_fat_tree(world.network, FatTreeConfig{.k = 3}),
+  EXPECT_THROW(build_fat_tree(world.network, fat_tree_k(3)),
                std::invalid_argument);
-  EXPECT_THROW(build_fat_tree(world.network, FatTreeConfig{.k = 0}),
+  EXPECT_THROW(build_fat_tree(world.network, fat_tree_k(0)),
                std::invalid_argument);
 }
 
