@@ -22,21 +22,17 @@ mem::ArenaPtr<tcp::TcpSender> make_sender(tcp::Protocol protocol, net::Host* src
     case tcp::Protocol::kReno:
       return mem::arena_new<tcp::RenoSender>(a, src, dst, flow, opts.tcp);
     case tcp::Protocol::kCubic:
-      return mem::arena_new<tcp::CubicSender>(a, src, dst, flow, opts.tcp, opts.cubic);
+      return mem::arena_new<tcp::CubicSender>(a, src, dst, flow, opts.tcp);
     case tcp::Protocol::kDctcp:
-      return mem::arena_new<tcp::DctcpSender>(a, src, dst, flow, opts.tcp, opts.dctcp);
+      return mem::arena_new<tcp::DctcpSender>(a, src, dst, flow, opts.tcp);
     case tcp::Protocol::kL2dct:
-      return mem::arena_new<tcp::L2dctSender>(a, src, dst, flow, opts.tcp, opts.l2dct,
-                                              opts.dctcp);
+      return mem::arena_new<tcp::L2dctSender>(a, src, dst, flow, opts.tcp);
     case tcp::Protocol::kTrim:
       return mem::arena_new<TrimSender>(a, src, dst, flow, opts.tcp, opts.trim);
     case tcp::Protocol::kVegas:
-      return mem::arena_new<tcp::VegasSender>(a, src, dst, flow, opts.tcp, opts.vegas);
-    case tcp::Protocol::kD2tcp:
-      return mem::arena_new<tcp::D2tcpSender>(a, src, dst, flow, opts.tcp, opts.d2tcp,
-                                              opts.dctcp);
+      return mem::arena_new<tcp::VegasSender>(a, src, dst, flow, opts.tcp);
     case tcp::Protocol::kGip:
-      return mem::arena_new<tcp::GipSender>(a, src, dst, flow, opts.tcp, opts.gip);
+      return mem::arena_new<tcp::GipSender>(a, src, dst, flow, opts.tcp);
   }
   throw ConfigError{"unknown protocol", "make_sender"};
 }

@@ -1,5 +1,6 @@
-// Unified construction of any of the five protocols the paper evaluates.
-// Lives in core (not tcp) because it must be able to instantiate TrimSender.
+// Unified construction of any of the five protocols the paper evaluates,
+// plus the Vegas and GIP baselines from its related work. Lives in core
+// (not tcp) because it must be able to instantiate TrimSender.
 #pragma once
 
 #include <memory>
@@ -8,7 +9,6 @@
 #include "tcp/cubic.hpp"
 #include "tcp/dctcp.hpp"
 #include "tcp/flow.hpp"
-#include "tcp/d2tcp.hpp"
 #include "tcp/gip.hpp"
 #include "tcp/l2dct.hpp"
 #include "tcp/reno.hpp"
@@ -16,15 +16,11 @@
 
 namespace trim::core {
 
+// The congestion-control variants' own parameters are constants at their
+// published values (tcp/cubic.cpp, dctcp.cpp, l2dct.cpp, vegas.cpp).
 struct ProtocolOptions {
   tcp::TcpConfig tcp;
-  TrimConfig trim;          // consulted only for Protocol::kTrim
-  tcp::CubicConfig cubic;   // only for kCubic
-  tcp::DctcpConfig dctcp;   // for kDctcp / kL2dct
-  tcp::L2dctConfig l2dct;   // only for kL2dct
-  tcp::VegasConfig vegas;   // only for kVegas
-  tcp::D2tcpConfig d2tcp;   // only for kD2tcp
-  tcp::GipConfig gip;       // only for kGip
+  TrimConfig trim;  // consulted only for Protocol::kTrim
 };
 
 // Arena-backed when the source host's simulator carries a mem::SimMemory

@@ -32,7 +32,7 @@ namespace trim::core {
 
 struct TrimConfig {
   // Weight of a new RTT sample in smooth_RTT (the paper uses 0.25).
-  double smooth_alpha = 0.25;
+  static constexpr double smooth_alpha = 0.25;
   // Bottleneck capacity C in packets/second used by Eq. 22. End hosts know
   // their NIC rate, which equals the receiver-side bottleneck in the
   // paper's many-to-one scenarios. Use capacity_from_link() to derive it.

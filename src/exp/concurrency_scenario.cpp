@@ -15,11 +15,9 @@ ConcurrencyResult run_concurrency(const ConcurrencyConfig& cfg) {
           "ConcurrencyConfig::num_spt_servers", ">= 1");
   require(cfg.num_lpt_servers >= 0, "negative LPT server count",
           "ConcurrencyConfig::num_lpt_servers", ">= 0");
-  require(cfg.spt_packets >= 1, "empty SPT", "ConcurrencyConfig::spt_packets",
-          ">= 1");
-  require(cfg.run_until > cfg.spt_start && cfg.spt_start > cfg.lpt_start,
-          "bad schedule", "ConcurrencyConfig::lpt_start/spt_start/run_until",
-          "lpt_start < spt_start < run_until");
+  static_assert(ConcurrencyConfig::lpt_start < ConcurrencyConfig::spt_start);
+  require(cfg.run_until > cfg.spt_start, "bad schedule",
+          "ConcurrencyConfig::run_until", "> spt_start (0.3 s)");
   World world;
   InvariantScope inv{world, cfg.run_until};
 

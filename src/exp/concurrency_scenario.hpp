@@ -17,9 +17,9 @@ struct ConcurrencyConfig {
   tcp::Protocol protocol = tcp::Protocol::kReno;
   int num_spt_servers = 4;
   int num_lpt_servers = 2;
-  std::uint32_t spt_packets = 10;   // 10 segments, paper Sec. II-B-2
-  sim::SimTime lpt_start = sim::SimTime::seconds(0.1);
-  sim::SimTime spt_start = sim::SimTime::seconds(0.3);
+  static constexpr std::uint32_t spt_packets = 10;  // 10 segments, paper Sec. II-B-2
+  static constexpr sim::SimTime lpt_start = sim::SimTime::seconds(0.1);
+  static constexpr sim::SimTime spt_start = sim::SimTime::seconds(0.3);
   sim::SimTime run_until = sim::SimTime::seconds(3.0);
   sim::SimTime min_rto = sim::SimTime::millis(200);
   // The SPT connections are *persistent* and warm: before the burst they
@@ -27,9 +27,9 @@ struct ConcurrencyConfig {
   // so legacy TCP inherits a large window into the 0.3 s burst — the
   // impairment under study. Warm-up runs from 0.1 s to just before the
   // burst.
-  int warmup_responses = 150;
-  std::uint64_t warmup_min_bytes = 2 * 1024;
-  std::uint64_t warmup_max_bytes = 10 * 1024;
+  static constexpr int warmup_responses = 150;
+  static constexpr std::uint64_t warmup_min_bytes = 2 * 1024;
+  static constexpr std::uint64_t warmup_max_bytes = 10 * 1024;
   std::uint64_t seed = 1;
 };
 

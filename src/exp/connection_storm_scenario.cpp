@@ -81,7 +81,6 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   }
 
   InvariantScope inv{world, cfg.run_until};
-  if (bottleneck_fault) inv.watch(*bottleneck_fault);
 
   // Shared server-side SYN backlog, and one ephemeral-port allocator per
   // client host.

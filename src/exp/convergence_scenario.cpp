@@ -12,8 +12,6 @@
 namespace trim::exp {
 
 ConvergenceResult run_convergence(const ConvergenceConfig& cfg) {
-  require(cfg.num_connections >= 1, "no connections",
-          "ConvergenceConfig::num_connections", ">= 1");
   require(cfg.stagger > sim::SimTime::zero(), "non-positive stagger",
           "ConvergenceConfig::stagger", "> 0");
   World world;

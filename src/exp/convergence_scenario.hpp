@@ -17,10 +17,10 @@ namespace trim::exp {
 
 struct ConvergenceConfig {
   tcp::Protocol protocol = tcp::Protocol::kReno;
-  int num_connections = 5;
-  sim::SimTime first_start = sim::SimTime::seconds(0.1);
+  static constexpr int num_connections = 5;
+  static constexpr sim::SimTime first_start = sim::SimTime::seconds(0.1);
   sim::SimTime stagger = sim::SimTime::seconds(2.0);  // start/stop interval
-  sim::SimTime bin = sim::SimTime::millis(100);
+  static constexpr sim::SimTime bin = sim::SimTime::millis(100);
   std::uint64_t seed = 1;
 };
 

@@ -195,25 +195,20 @@ std::size_t InvariantScope::finish(bool fail_hard) {
   finished_ = true;
   if (!checker_) return 0;
   checker_->check_now();
-  const auto& violations = checker_->violations();
-  for (const auto& v : violations) {
-    std::fprintf(stderr, "INVARIANT VIOLATION [%s] t=%.6fs: %s\n",
-                 v.invariant.c_str(), v.at.to_seconds(), v.detail.c_str());
-  }
-  if (fail_hard && !violations.empty()) {
-    std::fprintf(stderr, "InvariantScope: %zu violation(s), aborting\n",
-                 violations.size());
+  const std::size_t violations = checker_->violations().size();
+  if (fail_hard && violations > 0) {
+    sim::warn(0.0, "InvariantScope: %zu violation(s), aborting", violations);
     std::abort();
   }
-  return violations.size();
+  return violations;
 }
 
 InvariantScope::~InvariantScope() {
   // Too late to inspect senders here (they may already be destroyed);
   // just flag the missing finish() so the scenario gets fixed.
   if (checker_ && !finished_) {
-    std::fprintf(stderr, "InvariantScope: finish() never called; invariants "
-                         "were not verified for this run\n");
+    sim::warn(0.0, "InvariantScope: finish() never called; invariants were "
+                   "not verified for this run");
   }
 }
 
@@ -243,8 +238,7 @@ std::uint32_t ecn_threshold_pkts(std::uint64_t link_bps) {
 
 net::QueueConfig switch_queue_for(tcp::Protocol protocol, std::uint32_t buffer_pkts,
                                   std::uint64_t link_bps) {
-  if (protocol == tcp::Protocol::kDctcp || protocol == tcp::Protocol::kL2dct ||
-      protocol == tcp::Protocol::kD2tcp) {
+  if (protocol == tcp::Protocol::kDctcp || protocol == tcp::Protocol::kL2dct) {
     return net::QueueConfig::ecn_packets(buffer_pkts, ecn_threshold_pkts(link_bps));
   }
   return net::QueueConfig::droptail_packets(buffer_pkts);
@@ -253,8 +247,7 @@ net::QueueConfig switch_queue_for(tcp::Protocol protocol, std::uint32_t buffer_p
 net::QueueConfig switch_queue_bytes_for(tcp::Protocol protocol,
                                         std::uint64_t buffer_bytes,
                                         std::uint64_t link_bps, std::uint32_t mss) {
-  if (protocol == tcp::Protocol::kDctcp || protocol == tcp::Protocol::kL2dct ||
-      protocol == tcp::Protocol::kD2tcp) {
+  if (protocol == tcp::Protocol::kDctcp || protocol == tcp::Protocol::kL2dct) {
     const std::uint64_t mark_bytes =
         static_cast<std::uint64_t>(ecn_threshold_pkts(link_bps)) * (mss + 40);
     return net::QueueConfig::ecn_bytes(buffer_bytes, mark_bytes);

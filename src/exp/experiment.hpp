@@ -136,9 +136,12 @@ bool invariants_enabled();
 // a mid-run checkpoint would read every shard's state while the workers
 // are inside a window — but finish() still runs the full final check once
 // the engine has quiesced.
-// finish() must be called while the watched senders are still alive; it
-// prints every violation to stderr and (by default) aborts, so CI cannot
-// miss a broken run. The destructor only warns when finish() was skipped.
+// Fault injectors need no registration: the checker reads the injector
+// attached to each link. finish() must be called while the watched
+// senders are still alive; every violation is warned (sim::warn) as the
+// checker records it, and finish() (by default) aborts on any, so CI
+// cannot miss a broken run. The destructor only warns when finish() was
+// skipped.
 class InvariantScope {
  public:
   // `horizon` > 0 schedules periodic checkpoints across the run.
@@ -156,9 +159,6 @@ class InvariantScope {
   }
   void watch(tcp::ListenQueue& queue) {
     if (checker_) checker_->watch(queue);
-  }
-  void watch(fault::FaultInjector& injector) {
-    if (checker_) checker_->watch(injector);
   }
   // Churn scenarios destroy endpoints mid-run; they must unwatch first.
   void unwatch(tcp::TcpSender& sender) {

@@ -14,9 +14,9 @@ namespace trim::exp {
 FattreeResult run_fattree(const FattreeConfig& cfg) {
   require(cfg.pods >= 2 && cfg.pods % 2 == 0, "bad fat-tree arity",
           "FattreeConfig::pods", "even, >= 2");
-  require(cfg.run_until > cfg.big_start && cfg.big_start > cfg.small_start,
-          "bad schedule", "FattreeConfig::small_start/big_start/run_until",
-          "small_start < big_start < run_until");
+  static_assert(FattreeConfig::small_start < FattreeConfig::big_start);
+  require(cfg.run_until > cfg.big_start, "bad schedule", "FattreeConfig::run_until",
+          "> big_start (0.5 s)");
   World world{cfg.shards};
   InvariantScope inv{world, cfg.run_until};
   sim::Rng rng{cfg.seed};

@@ -19,15 +19,15 @@ namespace trim::exp {
 struct FattreeConfig {
   tcp::Protocol protocol = tcp::Protocol::kReno;
   int pods = 4;  // paper sweeps 4..10
-  std::uint64_t total_bytes = 1 << 20;
+  static constexpr std::uint64_t total_bytes = 1 << 20;
   // 2-6 KB small objects from 0.1 s. ~100 of them (~400 KB) replicate the
   // paper's setup where the pre-0.5 s exchange inflates the inherited
   // window into the hundreds of segments, so the 0.5 s big-object burst
   // overruns the 350 KB buffers exactly as Sec. IV-C describes.
-  int small_objects = 100;
-  sim::SimTime small_start = sim::SimTime::seconds(0.1);
-  sim::SimTime small_spacing = sim::SimTime::millis(2);
-  sim::SimTime big_start = sim::SimTime::seconds(0.5);
+  static constexpr int small_objects = 100;
+  static constexpr sim::SimTime small_start = sim::SimTime::seconds(0.1);
+  static constexpr sim::SimTime small_spacing = sim::SimTime::millis(2);
+  static constexpr sim::SimTime big_start = sim::SimTime::seconds(0.5);
   sim::SimTime run_until = sim::SimTime::seconds(6.0);
   sim::SimTime min_rto = sim::SimTime::millis(200);
   std::uint64_t seed = 1;

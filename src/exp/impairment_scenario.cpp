@@ -13,10 +13,9 @@ namespace trim::exp {
 ImpairmentResult run_impairment(const ImpairmentConfig& cfg) {
   require(cfg.num_servers >= 1, "no servers", "ImpairmentConfig::num_servers",
           ">= 1");
-  require(cfg.run_until > cfg.lpt_start && cfg.lpt_start > cfg.response_start,
-          "bad schedule",
-          "ImpairmentConfig::response_start/lpt_start/run_until",
-          "response_start < lpt_start < run_until");
+  static_assert(ImpairmentConfig::response_start < ImpairmentConfig::lpt_start);
+  require(cfg.run_until > cfg.lpt_start, "bad schedule",
+          "ImpairmentConfig::run_until", "> lpt_start (0.5 s)");
   World world;
   InvariantScope inv{world, cfg.run_until};
   sim::Rng rng{cfg.seed};

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #include "obs/profiler.hpp"
+#include "sim/logging.hpp"
 
 namespace trim::exp {
 
@@ -113,8 +113,7 @@ void for_each_index(std::size_t count, int jobs,
 
 void report_job_failures(const char* who, const std::vector<JobFailure>& failures) {
   for (const auto& f : failures) {
-    std::fprintf(stderr, "%s: job %zu failed: %s\n", who, f.index,
-                 f.message.c_str());
+    sim::warn(0.0, "%s: job %zu failed: %s", who, f.index, f.message.c_str());
   }
 }
 

@@ -50,8 +50,8 @@ std::vector<JobFailure> for_each_index_collect(
 void for_each_index(std::size_t count, int jobs,
                     const std::function<void(std::size_t)>& fn);
 
-// stderr report used by run_parallel; exposed for run_parallel_collect
-// callers that want the same format.
+// One warning (sim::warn) per failed job, as run_parallel reports them;
+// exposed for run_parallel_collect callers that want the same format.
 void report_job_failures(const char* who, const std::vector<JobFailure>& failures);
 
 // Run `make_result(cfg)` for every config, REPRO_JOBS-wide, returning

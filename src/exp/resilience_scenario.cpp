@@ -18,16 +18,11 @@ void validate(const ResilienceConfig& cfg) {
           "ResilienceConfig::num_servers", "[1, 4096]");
   require(cfg.messages_per_server >= 1, "no messages to send",
           "ResilienceConfig::messages_per_server", ">= 1");
-  require(cfg.message_bytes >= 1, "empty message",
-          "ResilienceConfig::message_bytes", ">= 1");
-  require(cfg.message_gap >= sim::SimTime::zero(), "negative message gap",
-          "ResilienceConfig::message_gap", ">= 0");
   require(cfg.run_until > cfg.start, "run window is empty",
           "ResilienceConfig::start/run_until", "start < run_until");
   require(cfg.min_rto > sim::SimTime::zero(), "non-positive RTO floor",
           "ResilienceConfig::min_rto", "> 0");
   fault::validate(cfg.bottleneck_fault);
-  fault::validate(cfg.ack_path_fault);
   if (cfg.churn) {
     tcp::validate(cfg.churn_backlog);
     tcp::validate(cfg.lifecycle);
@@ -44,24 +39,16 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
       switch_queue_for(cfg.protocol, topo_cfg.switch_buffer_pkts, topo_cfg.link_bps);
   const auto topo = build_many_to_one(world.network, topo_cfg);
 
-  // Fault injectors on the bottleneck and (optionally) the front-end's
-  // ACK return path. Only built when the profile enables something, so a
-  // clean config leaves the packet path untouched.
-  std::unique_ptr<fault::FaultInjector> bottleneck_fault, ack_fault;
+  // Fault injector on the bottleneck. Only built when the profile enables
+  // something, so a clean config leaves the packet path untouched.
+  std::unique_ptr<fault::FaultInjector> bottleneck_fault;
   if (cfg.bottleneck_fault.any_enabled()) {
     bottleneck_fault = std::make_unique<fault::FaultInjector>(&world.simulator,
                                                               cfg.bottleneck_fault);
     bottleneck_fault->attach(*topo.bottleneck);
   }
-  if (cfg.ack_path_fault.any_enabled()) {
-    ack_fault =
-        std::make_unique<fault::FaultInjector>(&world.simulator, cfg.ack_path_fault);
-    ack_fault->attach(topo.front_end->out_link(0));
-  }
 
   InvariantScope inv{world, cfg.run_until};
-  if (bottleneck_fault) inv.watch(*bottleneck_fault);
-  if (ack_fault) inv.watch(*ack_fault);
 
   auto opts = default_options(cfg.protocol, topo_cfg.link_bps, cfg.min_rto);
   if (cfg.churn) {
@@ -270,7 +257,6 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
   result.goodput_mbps = static_cast<double>(acked_bytes) * 8.0 / active_s / 1e6;
   result.queue_drops = world.network.total_drops();
   if (bottleneck_fault) result.bottleneck_faults = bottleneck_fault->stats();
-  if (ack_fault) result.ack_faults = ack_fault->stats();
 
   // Collect (don't abort): the caller decides how loud to fail — the
   // bench exits non-zero, tests assert on the count.

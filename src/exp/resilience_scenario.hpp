@@ -1,6 +1,5 @@
 // Resilience under adverse networks: the paper's many-to-one HTTP
-// scenario with a fault injector on the bottleneck (and optionally the
-// ACK return path).
+// scenario with a fault injector on the bottleneck.
 //
 // Each server sends a train of responses with an idle gap between them —
 // long enough to exceed the RTT, so TCP-TRIM's inter-train probing
@@ -32,8 +31,8 @@ struct ResilienceConfig {
   // `message_bytes`, spaced `message_gap` after the previous *write* (the
   // gap is what trips TRIM's gap detector).
   int messages_per_server = 20;
-  std::uint64_t message_bytes = 40 * 1460ull;
-  sim::SimTime message_gap = sim::SimTime::millis(20);
+  static constexpr std::uint64_t message_bytes = 40 * 1460ull;
+  static constexpr sim::SimTime message_gap = sim::SimTime::millis(20);
   sim::SimTime start = sim::SimTime::seconds(0.05);
   sim::SimTime run_until = sim::SimTime::seconds(3.0);
   sim::SimTime min_rto = sim::SimTime::millis(200);
@@ -42,8 +41,6 @@ struct ResilienceConfig {
   // Fault profile for the bottleneck (switch -> front-end) link; an
   // all-default FaultConfig means a clean network.
   fault::FaultConfig bottleneck_fault;
-  // Optional faults on the front-end's ACK return path.
-  fault::FaultConfig ack_path_fault;
 
   // Connection churn: every message rides its own fresh connection — full
   // SYN handshake through the front end's shared listen backlog, FIN
@@ -80,7 +77,6 @@ struct ResilienceResult {
   tcp::ListenQueue::Stats churn_backlog;
   std::uint64_t queue_drops = 0;
   fault::FaultStats bottleneck_faults;
-  fault::FaultStats ack_faults;
   // Invariant checker output (zeros when checking is disabled).
   std::uint64_t invariant_checkpoints = 0;
   std::uint64_t invariant_violations = 0;

@@ -55,8 +55,6 @@ class ResponseStream {
 }  // namespace
 
 ArctResult run_arct(const ArctConfig& cfg) {
-  require(cfg.background_senders >= 0, "negative background sender count",
-          "ArctConfig::background_senders", ">= 0");
   require(cfg.num_responses >= 1, "no responses", "ArctConfig::num_responses",
           ">= 1");
   require(cfg.mean_response_bytes >= 1, "empty responses",
@@ -100,7 +98,7 @@ ArctResult run_arct(const ArctConfig& cfg) {
   ResponseStream stream{
       &world.simulator, responder, cfg.num_responses,
       [&rng, lo, hi] { return static_cast<std::uint64_t>(rng.uniform_int(lo, hi)); },
-      [&cfg] { return cfg.think_time; }};
+      [] { return ArctConfig::think_time; }};
   stream.start(sim::SimTime::seconds(0.5));  // after the elephants ramp up
 
   // Run in chunks and stop as soon as the response stream is done (the

@@ -28,9 +28,9 @@ struct ArctConfig {
   tcp::Protocol protocol = tcp::Protocol::kCubic;
   std::uint64_t mean_response_bytes = 64 * 1024;  // paper sweeps 32 KB..1 MB
   int num_responses = 100;
-  int background_senders = 2;
+  static constexpr int background_senders = 2;
   std::uint64_t link_bps = 100 * net::kMbps;
-  sim::SimTime think_time = sim::SimTime::millis(5);  // between responses
+  static constexpr sim::SimTime think_time = sim::SimTime::millis(5);  // between responses
   std::uint64_t seed = 1;
 };
 

@@ -10,6 +10,7 @@
 #include "net/network.hpp"
 #include "net/switch.hpp"
 #include "sim/config_error.hpp"
+#include "sim/logging.hpp"
 #include "tcp/listen_queue.hpp"
 #include "tcp/tcp_common.hpp"
 #include "tcp/tcp_receiver.hpp"
@@ -65,12 +66,11 @@ void InvariantChecker::watch(tcp::ListenQueue& queue) {
   listen_queues_.push_back(&queue);
 }
 
-void InvariantChecker::watch(FaultInjector& injector) {
-  injectors_.push_back(&injector);
-}
-
 void InvariantChecker::report(std::string invariant, std::string detail) {
   violations_.push_back({std::move(invariant), std::move(detail), sim_->now()});
+  const Violation& v = violations_.back();
+  sim::warn(v.at.to_seconds(), "INVARIANT VIOLATION [%s]: %s", v.invariant.c_str(),
+            v.detail.c_str());
 }
 
 void InvariantChecker::check_now() {
@@ -110,17 +110,15 @@ void InvariantChecker::check_conservation() {
     }
   }
 
-  std::uint64_t queue_drops = 0, in_network = 0;
+  std::uint64_t queue_drops = 0, in_network = 0, fault_drops = 0, duplicated = 0;
   for (const auto& link : network_->links()) {
     const auto& qs = link->queue().stats();
     queue_drops += qs.dropped;
     in_network += qs.enqueued - link->packets_arrived();
-  }
-
-  std::uint64_t fault_drops = 0, duplicated = 0;
-  for (const auto* inj : injectors_) {
-    fault_drops += inj->stats().injected_drops();
-    duplicated += inj->stats().duplicated;
+    if (const FaultInjector* inj = link->fault_injector()) {
+      fault_drops += inj->stats().injected_drops();
+      duplicated += inj->stats().duplicated;
+    }
   }
   in_network += duplicated;  // dups enter the wire without an enqueue
 

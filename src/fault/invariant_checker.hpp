@@ -1,14 +1,15 @@
 // Simulation-wide invariant checker / watchdog.
 //
-// Watches a Network plus any number of TCP senders and fault injectors and
-// verifies, at checkpoints, that the simulation is still self-consistent:
+// Watches a Network plus any number of TCP endpoints and verifies, at
+// checkpoints, that the simulation is still self-consistent:
 //
 //   * packet conservation — every packet ever injected by a host (plus
 //     fault-made duplicates) is accounted for: delivered to an agent,
 //     dropped with a counter (queue drop, fault drop, corrupt frame,
 //     unroutable), or demonstrably in the network (queued, serializing, or
-//     propagating on some link). A leak on either side means a counter or
-//     an event went missing;
+//     propagating on some link). Fault drops and duplicates are read from
+//     the injector attached to each link at the checkpoint. A leak on
+//     either side means a counter or an event went missing;
 //   * cwnd bounds — every watched sender satisfies cwnd >= its configured
 //     minimum; TCP-TRIM senders additionally satisfy the paper's hard
 //     floor cwnd >= 2 (Eq. 1 clamp, Sec. III-C);
@@ -33,7 +34,8 @@
 // an enabled checker never changes simulation results.
 //
 // Violations are recorded (not thrown) so a sweep can report every broken
-// run; exp::InvariantScope turns them into a loud failure at scope exit.
+// run, and each is warned through sim::warn as it is recorded;
+// exp::InvariantScope turns them into a loud failure at scope exit.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,6 @@ class TcpSender;
 }
 
 namespace trim::fault {
-
-class FaultInjector;
 
 struct Violation {
   std::string invariant;  // which check failed ("packet-conservation", ...)
@@ -84,10 +84,6 @@ class InvariantChecker {
   // Listen queues get the occupancy bound: 0 <= occupancy <= depth, and
   // the same for the recorded peak.
   void watch(tcp::ListenQueue& queue);
-  // Injectors feed the conservation equation (their drops and duplicates
-  // are legitimate packet sources/sinks). An attached-but-unwatched
-  // injector will be reported as a conservation leak — by design.
-  void watch(FaultInjector& injector);
 
   // Run every check at the current simulation time.
   void check_now();
@@ -99,8 +95,9 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t checkpoints_run() const { return checkpoints_; }
 
-  // Record a violation found outside the built-in checks (a scenario's
-  // own end-of-run invariants).
+  // Record a violation and warn it, stamped with the current simulation
+  // time. The built-in checks call this; scenarios call it for their own
+  // end-of-run invariants.
   void report(std::string invariant, std::string detail);
 
  private:
@@ -114,7 +111,6 @@ class InvariantChecker {
   std::vector<tcp::TcpSender*> senders_;
   std::vector<tcp::TcpReceiver*> receivers_;
   std::vector<tcp::ListenQueue*> listen_queues_;
-  std::vector<FaultInjector*> injectors_;
   std::vector<Violation> violations_;
   std::uint64_t checkpoints_ = 0;
 };

@@ -1,33 +1,14 @@
 #include "stats/rate_meter.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace trim::stats {
 
 void RateMeter::add(sim::SimTime at, std::uint64_t bytes) {
   if (at < sim::SimTime::zero()) throw std::invalid_argument("RateMeter::add: negative time");
-  const auto idx = static_cast<std::uint64_t>(at.ns() / bin_width_.ns());
-  if (idx < kMaxDenseBins) {
-    if (idx >= bins_.size()) bins_.resize(static_cast<std::size_t>(idx) + 1, 0);
-    bins_[static_cast<std::size_t>(idx)] += bytes;
-  } else if (!sparse_.empty() && sparse_.back().idx == idx) {
-    sparse_.back().bytes += bytes;  // the common case: monotone time
-  } else if (sparse_.empty() || idx > sparse_.back().idx) {
-    sparse_.push_back({idx, bytes});
-  } else {
-    // Out-of-order overflow sample (merged multi-source meters): ordered
-    // insert keeps the vector sorted for the range scans below.
-    const auto it = std::lower_bound(
-        sparse_.begin(), sparse_.end(), idx,
-        [](const SparseBin& b, std::uint64_t i) { return b.idx < i; });
-    if (it != sparse_.end() && it->idx == idx) {
-      it->bytes += bytes;
-    } else {
-      sparse_.insert(it, {idx, bytes});
-    }
-  }
+  const auto idx = static_cast<std::size_t>(at.ns() / bin_width_.ns());
+  if (idx >= bins_.size()) bins_.resize(idx + 1, 0);
+  bins_[idx] += bytes;
   total_bytes_ += bytes;
 }
 
@@ -37,12 +18,6 @@ TimeSeries RateMeter::series_mbps() const {
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     const double mbps = static_cast<double>(bins_[i]) * 8.0 / bin_s / 1e6;
     out.record(bin_width_ * static_cast<std::int64_t>(i), mbps);
-  }
-  // Sparse bins all lie past the dense range and the vector is sorted by
-  // index, so the series stays time-sorted.
-  for (const auto& bin : sparse_) {
-    const double mbps = static_cast<double>(bin.bytes) * 8.0 / bin_s / 1e6;
-    out.record(bin_width_ * static_cast<std::int64_t>(bin.idx), mbps);
   }
   return out;
 }
@@ -56,21 +31,7 @@ double RateMeter::mean_mbps(sim::SimTime from, sim::SimTime to) const {
   for (std::uint64_t i = lo; i < hi && i < bins_.size(); ++i) {
     bytes += bins_[static_cast<std::size_t>(i)];
   }
-  for (auto it = std::lower_bound(
-           sparse_.begin(), sparse_.end(), lo,
-           [](const SparseBin& b, std::uint64_t i) { return b.idx < i; });
-       it != sparse_.end() && it->idx < hi; ++it) {
-    bytes += it->bytes;
-  }
   return static_cast<double>(bytes) * 8.0 / (to - from).to_seconds() / 1e6;
-}
-
-void RateMeter::reset() {
-  bins_.clear();
-  bins_.shrink_to_fit();
-  sparse_.clear();
-  sparse_.shrink_to_fit();
-  total_bytes_ = 0;
 }
 
 }  // namespace trim::stats

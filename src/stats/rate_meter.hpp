@@ -13,13 +13,6 @@ namespace trim::stats {
 
 class RateMeter {
  public:
-  // Storage guard: the dense per-bin vector never grows past this many
-  // bins. Samples landing beyond it go to a sparse overflow vector, so a
-  // single add() deep into a mostly-idle run (e.g. a 10 ms meter fed at
-  // simulated hour three) costs one 16-byte entry instead of hundreds of
-  // millions of empty dense bins.
-  static constexpr std::uint64_t kMaxDenseBins = std::uint64_t{1} << 20;
-
   explicit RateMeter(sim::SimTime bin_width) : bin_width_{bin_width} {}
 
   void add(sim::SimTime at, std::uint64_t bytes);
@@ -33,29 +26,9 @@ class RateMeter {
   std::uint64_t total_bytes() const { return total_bytes_; }
   sim::SimTime bin_width() const { return bin_width_; }
 
-  // Bins currently backed by storage (dense slots + sparse entries) —
-  // observable so tests can assert the sparse guard holds.
-  std::size_t allocated_bins() const { return bins_.size() + sparse_.size(); }
-
-  // Drop all samples AND return the backing storage to the allocator, so a
-  // meter reused across many sweep repetitions doesn't keep the largest
-  // run's dense array resident forever.
-  void reset();
-
  private:
-  // Overflow bin: flat sorted vector, not std::map — simulation time is
-  // monotone, so overflow samples append (amortized O(1), no per-node heap
-  // allocation) and the rare out-of-order add falls back to an ordered
-  // insert. Iteration for the series is a dense sweep instead of a
-  // pointer-chasing tree walk.
-  struct SparseBin {
-    std::uint64_t idx;
-    std::uint64_t bytes;
-  };
-
   sim::SimTime bin_width_;
   std::vector<std::uint64_t> bins_;  // bytes per bin, index = t / bin_width
-  std::vector<SparseBin> sparse_;    // bins past kMaxDenseBins, sorted by idx
   std::uint64_t total_bytes_ = 0;
 };
 

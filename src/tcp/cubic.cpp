@@ -5,13 +5,19 @@
 
 namespace trim::tcp {
 
+namespace {
+constexpr double kC = 0.4;     // cubic scaling constant (RFC 8312)
+constexpr double kBeta = 0.7;  // multiplicative decrease factor
+constexpr bool kTcpFriendly = true;
+}  // namespace
+
 CubicSender::CubicSender(net::Host* host, net::NodeId dst, net::FlowId flow,
-                         TcpConfig cfg, CubicConfig cubic)
-    : TcpSender{host, dst, flow, cfg}, cubic_{cubic} {}
+                         TcpConfig cfg)
+    : TcpSender{host, dst, flow, cfg} {}
 
 double CubicSender::cubic_window(double t_seconds) const {
   const double d = t_seconds - k_cubic_;
-  return cubic_.c * d * d * d + w_max_;
+  return kC * d * d * d + w_max_;
 }
 
 void CubicSender::cc_on_new_ack(const AckEvent& ev) {
@@ -34,8 +40,8 @@ void CubicSender::cc_on_new_ack(const AckEvent& ev) {
     }
     // TCP-friendly region: never be slower than an AIMD flow with the
     // same beta (RFC 8312 Sec. 4.2).
-    if (cubic_.tcp_friendly) {
-      tcp_estimate_ += 3.0 * (1.0 - cubic_.beta) / (1.0 + cubic_.beta) / next;
+    if (kTcpFriendly) {
+      tcp_estimate_ += 3.0 * (1.0 - kBeta) / (1.0 + kBeta) / next;
       next = std::max(next, tcp_estimate_);
     }
   }
@@ -46,20 +52,20 @@ void CubicSender::register_loss() {
   w_max_ = cwnd();
   epoch_start_ = simulator()->now();
   epoch_valid_ = true;
-  k_cubic_ = std::cbrt(w_max_ * (1.0 - cubic_.beta) / cubic_.c);
-  tcp_estimate_ = w_max_ * cubic_.beta;
+  k_cubic_ = std::cbrt(w_max_ * (1.0 - kBeta) / kC);
+  tcp_estimate_ = w_max_ * kBeta;
 }
 
 void CubicSender::cc_on_fast_retransmit() {
   register_loss();
-  const double reduced = std::max(cwnd() * cubic_.beta, 2.0);
+  const double reduced = std::max(cwnd() * kBeta, 2.0);
   set_ssthresh(reduced);
   set_cwnd(reduced);
 }
 
 void CubicSender::cc_on_timeout() {
   register_loss();
-  set_ssthresh(std::max(cwnd() * cubic_.beta, 2.0));
+  set_ssthresh(std::max(cwnd() * kBeta, 2.0));
   set_cwnd(config().cwnd_after_rto);
   // An RTO invalidates the epoch: restart probing from slow start.
   epoch_valid_ = false;

@@ -12,16 +12,9 @@
 
 namespace trim::tcp {
 
-struct CubicConfig {
-  double c = 0.4;        // cubic scaling constant (RFC 8312)
-  double beta = 0.7;     // multiplicative decrease factor
-  bool tcp_friendly = true;
-};
-
 class CubicSender : public TcpSender {
  public:
-  CubicSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg,
-              CubicConfig cubic = {});
+  CubicSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg);
 
   Protocol protocol() const override { return Protocol::kCubic; }
 
@@ -36,7 +29,6 @@ class CubicSender : public TcpSender {
   void register_loss();
   double cubic_window(double t_seconds) const;
 
-  CubicConfig cubic_;
   double w_max_ = 0.0;
   double k_cubic_ = 0.0;             // inflection offset in seconds
   sim::SimTime epoch_start_;          // time of last reduction

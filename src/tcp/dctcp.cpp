@@ -4,14 +4,18 @@
 
 namespace trim::tcp {
 
+namespace {
+constexpr double kG = 1.0 / 16.0;  // alpha gain, per the DCTCP paper
+constexpr double kInitialAlpha = 1.0;
+}  // namespace
+
 DctcpSender::DctcpSender(net::Host* host, net::NodeId dst, net::FlowId flow,
-                         TcpConfig cfg, DctcpConfig dctcp)
+                         TcpConfig cfg)
     : TcpSender{host, dst, flow, [&cfg] {
         cfg.ecn_capable = true;  // DCTCP requires ECT on every data packet
         return cfg;
       }()},
-      dctcp_{dctcp},
-      alpha_{dctcp.initial_alpha} {}
+      alpha_{kInitialAlpha} {}
 
 void DctcpSender::maybe_end_window(SeqNum ack_seq) {
   if (ack_seq < window_end_) return;
@@ -20,7 +24,7 @@ void DctcpSender::maybe_end_window(SeqNum ack_seq) {
   if (acked_in_window_ > 0) {
     const double frac = static_cast<double>(marked_in_window_) /
                         static_cast<double>(acked_in_window_);
-    alpha_ = (1.0 - dctcp_.g) * alpha_ + dctcp_.g * frac;
+    alpha_ = (1.0 - kG) * alpha_ + kG * frac;
   }
   acked_in_window_ = 0;
   marked_in_window_ = 0;

@@ -12,15 +12,9 @@
 
 namespace trim::tcp {
 
-struct DctcpConfig {
-  double g = 1.0 / 16.0;  // alpha gain, per the DCTCP paper
-  double initial_alpha = 1.0;
-};
-
 class DctcpSender : public TcpSender {
  public:
-  DctcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg,
-              DctcpConfig dctcp = {});
+  DctcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg);
 
   Protocol protocol() const override { return Protocol::kDctcp; }
 
@@ -37,7 +31,6 @@ class DctcpSender : public TcpSender {
  private:
   void maybe_end_window(SeqNum ack_seq);
 
-  DctcpConfig dctcp_;
   double alpha_;
   std::uint64_t acked_in_window_ = 0;
   std::uint64_t marked_in_window_ = 0;

@@ -15,8 +15,8 @@ TcpConfig gip_tcp_config(TcpConfig cfg) {
 }  // namespace
 
 GipSender::GipSender(net::Host* host, net::NodeId dst, net::FlowId flow,
-                     TcpConfig cfg, GipConfig gip)
-    : TcpSender{host, dst, flow, gip_tcp_config(cfg)}, gip_{gip} {}
+                     TcpConfig cfg)
+    : TcpSender{host, dst, flow, gip_tcp_config(cfg)} {}
 
 bool GipSender::cc_allow_new_segment() {
   // About to transmit the first segment of a new train with nothing in
@@ -31,7 +31,7 @@ bool GipSender::cc_allow_new_segment() {
 }
 
 void GipSender::cc_after_send(const net::Packet& p, bool retransmission) {
-  if (gip_.redundant_tail && !retransmission && is_message_end(p.seq)) {
+  if (!retransmission && is_message_end(p.seq)) {
     send_redundant_copy(p.seq);
   }
 }

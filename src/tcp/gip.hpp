@@ -13,14 +13,9 @@
 
 namespace trim::tcp {
 
-struct GipConfig {
-  bool redundant_tail = true;  // duplicate each train's final segment
-};
-
 class GipSender : public TcpSender {
  public:
-  GipSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg,
-            GipConfig gip = {});
+  GipSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg);
 
   Protocol protocol() const override { return Protocol::kGip; }
 
@@ -31,7 +26,6 @@ class GipSender : public TcpSender {
   void cc_after_send(const net::Packet& p, bool retransmission) override;
 
  private:
-  GipConfig gip_;
   std::uint64_t train_resets_ = 0;
 };
 

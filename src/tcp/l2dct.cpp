@@ -5,14 +5,21 @@
 
 namespace trim::tcp {
 
+namespace {
+constexpr double kWMin = 0.125;
+constexpr double kWMax = 2.5;
+// Attained service at which the weight has decayed by ~63% toward kWMin.
+constexpr std::uint64_t kServiceScaleBytes = 500 * 1024;
+}  // namespace
+
 L2dctSender::L2dctSender(net::Host* host, net::NodeId dst, net::FlowId flow,
-                         TcpConfig cfg, L2dctConfig l2dct, DctcpConfig dctcp)
-    : DctcpSender{host, dst, flow, cfg, dctcp}, l2dct_{l2dct} {}
+                         TcpConfig cfg)
+    : DctcpSender{host, dst, flow, cfg} {}
 
 double L2dctSender::weight() const {
   const double attained = static_cast<double>(bytes_acked());
-  const double decay = std::exp(-attained / static_cast<double>(l2dct_.service_scale_bytes));
-  return l2dct_.w_min + (l2dct_.w_max - l2dct_.w_min) * decay;
+  const double decay = std::exp(-attained / static_cast<double>(kServiceScaleBytes));
+  return kWMin + (kWMax - kWMin) * decay;
 }
 
 void L2dctSender::cc_on_new_ack(const AckEvent& ev) {
@@ -32,7 +39,7 @@ double L2dctSender::decrease_factor() const {
   // Scale DCTCP's alpha/2 cut by how much service the flow has attained:
   // young flows cut like DCTCP, old flows cut up to twice as deep
   // (bounded by a full alpha cut), yielding bandwidth to short flows.
-  const double penalty = 2.0 - weight() / l2dct_.w_max;  // in [1, 2)
+  const double penalty = 2.0 - weight() / kWMax;  // in [1, 2)
   return std::min(alpha() / 2.0 * penalty, 0.9);
 }
 

@@ -15,17 +15,9 @@
 
 namespace trim::tcp {
 
-struct L2dctConfig {
-  double w_min = 0.125;
-  double w_max = 2.5;
-  // Attained service at which the weight has decayed by ~63% toward w_min.
-  std::uint64_t service_scale_bytes = 500 * 1024;
-};
-
 class L2dctSender : public DctcpSender {
  public:
-  L2dctSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg,
-              L2dctConfig l2dct = {}, DctcpConfig dctcp = {});
+  L2dctSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg);
 
   Protocol protocol() const override { return Protocol::kL2dct; }
 
@@ -34,9 +26,6 @@ class L2dctSender : public DctcpSender {
  protected:
   void cc_on_new_ack(const AckEvent& ev) override;
   double decrease_factor() const override;
-
- private:
-  L2dctConfig l2dct_;
 };
 
 }  // namespace trim::tcp

@@ -26,10 +26,6 @@ void validate(const LifecycleConfig& cfg) {
     throw ConfigError{"negative TIME_WAIT dwell", "LifecycleConfig::time_wait",
                       ">= 0"};
   }
-  if (cfg.max_syn_retries < 0 || cfg.max_fin_retries < 0) {
-    throw ConfigError{"negative retry bound",
-                      "LifecycleConfig::max_syn_retries/max_fin_retries", ">= 0"};
-  }
   if (cfg.retx_rto_initial <= sim::SimTime::zero()) {
     throw ConfigError{"non-positive control RTO",
                       "LifecycleConfig::retx_rto_initial", "> 0"};

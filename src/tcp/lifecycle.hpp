@@ -19,7 +19,7 @@
 // docs/LIFECYCLE.md for the wire layout), so the byte/segment-conservation
 // invariants hold across setup and teardown. SYN, SYN-ACK and FIN are
 // retransmitted on their own timers with exponential backoff capped at the
-// configured maximum RTO; after `max_*_retries` consecutive losses the
+// configured maximum RTO; after `max_*_retries` (6) consecutive losses the
 // endpoint gives up, sends RST, and reports the connection aborted.
 #pragma once
 
@@ -59,13 +59,12 @@ struct LifecycleConfig {
 
   // Give-up bounds: consecutive unanswered retransmissions of the SYN /
   // SYN-ACK / FIN before the endpoint aborts the connection with a RST.
-  int max_syn_retries = 6;
-  int max_fin_retries = 6;
+  static constexpr int max_syn_retries = 6;
+  static constexpr int max_fin_retries = 6;
 
   // Passive side behaves like an HTTP server: when the peer's FIN arrives
-  // it immediately half-closes back (FIN -> LAST_ACK). Turn off to drive
-  // the passive close() by hand (simultaneous-close tests).
-  bool auto_close_on_peer_fin = true;
+  // it immediately half-closes back (FIN -> LAST_ACK).
+  static constexpr bool auto_close_on_peer_fin = true;
 
   // Retransmit timer for the passive side's control packets (SYN-ACK,
   // its own FIN): initial value, doubling per retry, capped at the max.

@@ -1,9 +1,5 @@
 #include "tcp/reno.hpp"
 
-#include "sim/config_error.hpp"
-
-#include <stdexcept>
-
 namespace trim::tcp {
 
 std::string to_string(Protocol p) {
@@ -14,23 +10,9 @@ std::string to_string(Protocol p) {
     case Protocol::kL2dct: return "L2DCT";
     case Protocol::kTrim: return "TCP-TRIM";
     case Protocol::kVegas: return "Vegas";
-    case Protocol::kD2tcp: return "D2TCP";
     case Protocol::kGip: return "GIP";
   }
   return "?";
-}
-
-Protocol protocol_from_string(const std::string& name) {
-  if (name == "TCP" || name == "reno" || name == "Reno") return Protocol::kReno;
-  if (name == "CUBIC" || name == "cubic") return Protocol::kCubic;
-  if (name == "DCTCP" || name == "dctcp") return Protocol::kDctcp;
-  if (name == "L2DCT" || name == "l2dct") return Protocol::kL2dct;
-  if (name == "TCP-TRIM" || name == "trim" || name == "TRIM") return Protocol::kTrim;
-  if (name == "Vegas" || name == "vegas") return Protocol::kVegas;
-  if (name == "D2TCP" || name == "d2tcp") return Protocol::kD2tcp;
-  if (name == "GIP" || name == "gip") return Protocol::kGip;
-  throw ConfigError{"unknown protocol \"" + name + "\"", "protocol_from_string",
-                    "TCP, CUBIC, DCTCP, L2DCT, TCP-TRIM, Vegas, D2TCP, GIP"};
 }
 
 }  // namespace trim::tcp

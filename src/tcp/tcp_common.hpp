@@ -11,6 +11,8 @@ namespace trim::tcp {
 
 using SeqNum = std::uint64_t;  // segment-counted, as in ns-2
 
+// The values are stable identifiers: parameterized test names print them,
+// so a retired protocol's value (6) stays unused.
 enum class Protocol {
   kReno,   // legacy TCP baseline ("TCP" in the paper's plots)
   kCubic,  // testbed baseline (Fig. 13)
@@ -18,15 +20,14 @@ enum class Protocol {
   kL2dct,  // comparison (Fig. 12, Table I)
   kTrim,   // the paper's contribution
   kVegas,  // extra baseline: classic delay-based CC (related work [21])
-  kD2tcp,  // extra baseline: deadline-aware DCTCP (related work [15])
-  kGip,    // extra baseline: start-every-train-at-2 (related work [13])
+  kGip = 7,  // extra baseline: start-every-train-at-2 (related work [13])
 };
 
 std::string to_string(Protocol p);
-Protocol protocol_from_string(const std::string& name);
 
 struct TcpConfig {
-  std::uint32_t mss = 1460;          // paper: "packet size is set as 1460 bytes"
+  // Paper: "packet size is set as 1460 bytes".
+  static constexpr std::uint32_t mss = 1460;
   double initial_cwnd = 2.0;         // segments
   sim::SimTime min_rto = sim::SimTime::millis(200);  // paper default RTO
   sim::SimTime max_rto = sim::SimTime::seconds(60);
@@ -35,7 +36,7 @@ struct TcpConfig {
   double cwnd_after_rto = 1.0;
   double min_cwnd = 1.0;
   bool ecn_capable = false;          // DCTCP / L2DCT set ECT on data
-  int dupack_threshold = 3;
+  static constexpr int dupack_threshold = 3;
   // Model the full connection lifecycle (SYN/SYN-ACK/FIN/RST state
   // machine, tcp/lifecycle.hpp). Off by default: the paper's persistent
   // HTTP connections are pre-established. Turn on to study the

@@ -29,7 +29,6 @@ TcpReceiver::TcpReceiver(net::Host* host, net::FlowId flow, net::NodeId peer,
 }
 
 TcpReceiver::~TcpReceiver() {
-  if (delack_event_.valid()) sim_->cancel(delack_event_);
   cancel_ctrl_retx();
   if (time_wait_timer_.valid()) sim_->cancel(time_wait_timer_);
   host_->unregister_agent(flow_);
@@ -74,11 +73,9 @@ void TcpReceiver::on_packet(const net::Packet& p) {
   ++received_data_packets_;
   if (p.ecn == net::EcnCodepoint::kCe) ++ce_marked_packets_;
 
-  bool in_order = false;
   if (p.seq < rcv_next_) {
     ++duplicate_data_packets_;  // spurious retransmission
   } else if (p.seq == rcv_next_) {
-    in_order = true;
     std::uint64_t newly = p.payload_bytes;
     ++rcv_next_;
     // Drain buffered runs made contiguous by this arrival. Intervals are
@@ -93,33 +90,7 @@ void TcpReceiver::on_packet(const net::Packet& p) {
   } else {
     if (!buffer_out_of_order(p.seq, p.payload_bytes)) ++duplicate_data_packets_;
   }
-
-  if (!cfg_.delayed_ack) {
-    send_ack(p);
-    return;
-  }
-
-  // Delayed-ACK mode. Anything that is not a clean in-order advance must
-  // be signalled immediately: duplicates and holes generate the dupacks
-  // fast retransmit depends on.
-  const bool ce_now = p.ecn == net::EcnCodepoint::kCe;
-  const bool ce_changed = ce_now != last_ce_state_;
-  last_ce_state_ = ce_now;
-
-  if (!in_order || ce_changed) {
-    send_ack(p);
-    return;
-  }
-
-  pending_trigger_ = p;
-  have_pending_ = true;
-  if (++pending_unacked_ >= cfg_.ack_every) {
-    send_ack(p);
-    return;
-  }
-  if (!delack_event_.valid()) {
-    delack_event_ = sim_->schedule(cfg_.delack_timer, [this] { on_delack_timer(); });
-  }
+  send_ack(p);
 }
 
 // ---- lifecycle: passive open / close ----
@@ -436,19 +407,7 @@ bool TcpReceiver::buffer_out_of_order(SeqNum seq, std::uint32_t payload) {
   return true;
 }
 
-void TcpReceiver::on_delack_timer() {
-  delack_event_ = sim::EventId{};
-  if (have_pending_) send_ack(pending_trigger_);
-}
-
 void TcpReceiver::send_ack(const net::Packet& data) {
-  pending_unacked_ = 0;
-  have_pending_ = false;
-  if (delack_event_.valid()) {
-    sim_->cancel(delack_event_);
-    delack_event_ = sim::EventId{};
-  }
-
   net::Packet ack;
   ack.dst = peer_;
   ack.flow = flow_;

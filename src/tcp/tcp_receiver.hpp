@@ -1,9 +1,9 @@
 // TCP receiver: cumulative ACKs with out-of-order buffering, plus the
 // passive side of the connection lifecycle.
 //
-// Default mode ACKs every data segment immediately (no delayed ACK; data
-// center stacks routinely disable it and the paper's analysis assumes
-// per-packet clocking). Each ACK echoes:
+// Every data segment is ACKed immediately (no delayed ACK; data center
+// stacks routinely disable it and the paper's analysis assumes per-packet
+// clocking). Each ACK echoes:
 //   - the cumulative ack (next expected segment),
 //   - the sequence number of the segment that triggered it (`ack_of_seq`),
 //     which lets TCP-TRIM recognize probe ACKs,
@@ -11,17 +11,10 @@
 //   - the CE mark of the triggering segment (`ece`), an exact per-packet
 //     version of DCTCP's ECN echo.
 //
-// An optional delayed-ACK mode (`ReceiverConfig::delayed_ack`) coalesces
-// up to `ack_every` in-order segments or a timer, with the DCTCP rule that
-// a change in the CE state of arriving segments forces an immediate ACK
-// (so the sender's mark-fraction estimate stays exact, per the DCTCP
-// paper's two-state ACK machine). Out-of-order arrivals always ACK
-// immediately (duplicate ACKs must not be delayed).
-//
 // Lifecycle (tcp/lifecycle.hpp): the first SYN moves the receiver from
 // LISTEN through SYN_RCVD (consulting the host's ListenQueue when one is
-// attached) to ESTABLISHED; the peer's FIN is consumed in sequence and —
-// with auto_close_on_peer_fin — answered with the receiver's own FIN; RST
+// attached) to ESTABLISHED; the peer's FIN is consumed in sequence and
+// answered with the receiver's own FIN (auto_close_on_peer_fin); RST
 // tears the connection down from any state. SYN-ACK and FIN are
 // retransmitted on a dedicated control timer with exponential backoff
 // capped at retx_rto_max. A SYN arriving into an established connection
@@ -45,10 +38,6 @@ namespace trim::tcp {
 class ListenQueue;
 
 struct ReceiverConfig {
-  bool delayed_ack = false;
-  int ack_every = 2;  // ACK after this many unacked in-order segments
-  sim::SimTime delack_timer = sim::SimTime::micros(500);
-
   // Start in LISTEN with the state machine live (instead of lazily
   // activating it on the first SYN). Scenarios that open connections
   // dynamically set this so a never-contacted endpoint reports kListen.
@@ -111,7 +100,6 @@ class TcpReceiver : public net::Agent {
 
  private:
   void send_ack(const net::Packet& data);
-  void on_delack_timer();
 
   // Lifecycle machinery.
   void handle_syn(const net::Packet& p);
@@ -159,13 +147,6 @@ class TcpReceiver : public net::Agent {
   std::uint64_t duplicate_data_packets_ = 0;
   std::uint64_t ce_marked_packets_ = 0;
   std::uint64_t acks_sent_ = 0;
-
-  // Delayed-ACK state.
-  int pending_unacked_ = 0;
-  bool have_pending_ = false;
-  net::Packet pending_trigger_;  // last in-order segment awaiting an ACK
-  bool last_ce_state_ = false;
-  sim::EventId delack_event_;
 
   sim::InlineFunction<void(std::uint64_t)> on_deliver_;
 

@@ -31,10 +31,6 @@ TcpSender::TcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConf
     throw ConfigError{"null host",
                       "TcpSender, flow " + std::to_string(flow_)};
   }
-  if (cfg_.mss == 0) {
-    throw ConfigError{"zero MSS", "TcpSender, flow " + std::to_string(flow_),
-                      ">= 1 byte"};
-  }
   if (cfg_.simulate_handshake) validate(cfg_.lifecycle);
   host_->register_agent(flow_, this);
   if (mem::SimMemory* m = mem::memory_of(sim_)) {

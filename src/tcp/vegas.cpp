@@ -4,9 +4,15 @@
 
 namespace trim::tcp {
 
+namespace {
+constexpr double kAlpha = 1.0;  // lower backlog target (packets)
+constexpr double kBeta = 3.0;   // upper backlog target
+constexpr double kGamma = 1.0;  // slow-start exit threshold
+}  // namespace
+
 VegasSender::VegasSender(net::Host* host, net::NodeId dst, net::FlowId flow,
-                         TcpConfig cfg, VegasConfig vegas)
-    : TcpSender{host, dst, flow, cfg}, vegas_{vegas} {}
+                         TcpConfig cfg)
+    : TcpSender{host, dst, flow, cfg} {}
 
 void VegasSender::cc_on_every_ack(const AckEvent& ev) {
   base_rtt_ = std::min(base_rtt_, ev.rtt);
@@ -30,7 +36,7 @@ void VegasSender::end_epoch() {
   const double target = cwnd() * base / observed;
 
   if (in_vegas_ss_) {
-    if (last_diff_ > vegas_.gamma) {
+    if (last_diff_ > kGamma) {
       // Going too fast: leave slow start and fall back to the no-queue
       // target window (tcp_vegas.c does the same clamp).
       in_vegas_ss_ = false;
@@ -41,9 +47,9 @@ void VegasSender::end_epoch() {
     }
     grow_this_epoch_ = !grow_this_epoch_;
   } else {
-    if (last_diff_ < vegas_.alpha) {
+    if (last_diff_ < kAlpha) {
       set_cwnd(cwnd() + 1.0);
-    } else if (last_diff_ > vegas_.beta) {
+    } else if (last_diff_ > kBeta) {
       set_cwnd(std::max(cwnd() - 1.0, config().min_cwnd));
     }
     // inside [alpha, beta]: hold.

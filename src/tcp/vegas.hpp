@@ -13,16 +13,9 @@
 
 namespace trim::tcp {
 
-struct VegasConfig {
-  double alpha = 1.0;  // lower backlog target (packets)
-  double beta = 3.0;   // upper backlog target
-  double gamma = 1.0;  // slow-start exit threshold
-};
-
 class VegasSender : public TcpSender {
  public:
-  VegasSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg,
-              VegasConfig vegas = {});
+  VegasSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConfig cfg);
 
   Protocol protocol() const override { return Protocol::kVegas; }
 
@@ -35,7 +28,6 @@ class VegasSender : public TcpSender {
  private:
   void end_epoch();
 
-  VegasConfig vegas_;
   sim::SimTime base_rtt_ = sim::SimTime::max();
   sim::SimTime epoch_rtt_sum_;
   std::uint64_t epoch_rtt_samples_ = 0;

@@ -18,10 +18,10 @@ namespace trim::topo {
 
 struct MultiHopConfig {
   int group_size = 10;  // senders per group (A, B, C) and receivers in D
-  std::uint64_t edge_bps = net::kGbps;
-  sim::SimTime edge_delay = sim::SimTime::micros(20);
-  std::uint64_t bottleneck_bps = 10 * net::kGbps;
-  sim::SimTime bottleneck_delay = sim::SimTime::micros(10);
+  static constexpr std::uint64_t edge_bps = net::kGbps;
+  static constexpr sim::SimTime edge_delay = sim::SimTime::micros(20);
+  static constexpr std::uint64_t bottleneck_bps = 10 * net::kGbps;
+  static constexpr sim::SimTime bottleneck_delay = sim::SimTime::micros(10);
   std::uint32_t switch_buffer_pkts = 250;
   std::optional<net::QueueConfig> switch_queue;
 };

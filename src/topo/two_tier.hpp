@@ -13,10 +13,10 @@ namespace trim::topo {
 struct TwoTierConfig {
   int num_switches = 5;            // paper sweeps 5..25
   int servers_per_switch = 42;
-  std::uint64_t edge_bps = net::kGbps;
-  sim::SimTime edge_delay = sim::SimTime::micros(20);
-  std::uint64_t frontend_bps = 10 * net::kGbps;
-  sim::SimTime frontend_delay = sim::SimTime::micros(10);
+  static constexpr std::uint64_t edge_bps = net::kGbps;
+  static constexpr sim::SimTime edge_delay = sim::SimTime::micros(20);
+  static constexpr std::uint64_t frontend_bps = 10 * net::kGbps;
+  static constexpr sim::SimTime frontend_delay = sim::SimTime::micros(10);
   std::uint32_t switch_buffer_pkts = 100;
   std::optional<net::QueueConfig> switch_queue;
 };

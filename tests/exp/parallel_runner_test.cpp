@@ -9,6 +9,7 @@
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel_runner.hpp"
+#include "sim/logging.hpp"
 
 namespace trim::exp {
 namespace {
@@ -120,6 +121,20 @@ TEST(ParallelRunner, NonStdExceptionGetsPlaceholderMessage) {
   EXPECT_EQ(failures[0].index, 2u);
   EXPECT_FALSE(failures[0].message.empty());
   EXPECT_TRUE(failures[0].error != nullptr);
+}
+
+// run_parallel reports each failed job as one warning, so a sink installed
+// by the caller sees it like any other run message.
+TEST(ParallelRunner, FailedJobIsWarnedThroughTheLogSink) {
+  sim::CaptureLogSink capture;
+  const std::vector<int> configs{0, 1, 2};
+  const auto results = run_parallel(configs, [](const int& c) {
+    if (c == 1) throw std::runtime_error{"boom"};
+    return c;
+  });
+  EXPECT_EQ(results[2], 2);
+  ASSERT_EQ(capture.records().size(), 1u);
+  EXPECT_EQ(capture.records()[0].message, "run_parallel: job 1 failed: boom");
 }
 
 // Bitwise equality for the scalar measurement fields plus structural

@@ -7,6 +7,7 @@
 #include "exp/experiment.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/invariant_checker.hpp"
+#include "sim/logging.hpp"
 #include "topo/many_to_one.hpp"
 
 namespace trim::fault {
@@ -69,35 +70,68 @@ TEST(InvariantChecker, ConservationHoldsMidFlight) {
       << checker.violations().front().detail;
 }
 
-// A fault injector dropping packets is a legitimate sink only when the
-// checker knows about it: unwatched, its drops must surface as a
-// conservation leak — that asymmetry is what proves the equation is tight.
-TEST(InvariantChecker, UnwatchedInjectorIsAConservationLeak) {
-  for (const bool watched : {true, false}) {
-    Incast inc{tcp::Protocol::kReno};
-    FaultConfig fc;
-    fc.seed = 5;
-    fc.loss_probability = 0.05;
-    FaultInjector inj{&inc.world.simulator, fc};
-    inj.attach(*inc.topo.bottleneck);
+// The checker finds fault injectors on the links themselves: an attached
+// injector's drops balance the books with no registration.
+TEST(InvariantChecker, AttachedInjectorNeedsNoRegistration) {
+  Incast inc{tcp::Protocol::kReno};
+  FaultConfig fc;
+  fc.seed = 5;
+  fc.loss_probability = 0.05;
+  FaultInjector inj{&inc.world.simulator, fc};
+  inj.attach(*inc.topo.bottleneck);
 
-    InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-    if (watched) checker.watch(inj);
-    for (auto& f : inc.flows) {
-      checker.watch(*f.sender);
-      f.sender->write(500 * 1460);
-    }
-    inc.world.simulator.run_until(sim::SimTime::seconds(3));
-    ASSERT_GT(inj.stats().injected_drops(), 0u);  // faults actually fired
-    checker.check_now();
-    if (watched) {
-      EXPECT_TRUE(checker.violations().empty())
-          << checker.violations().front().detail;
-    } else {
-      ASSERT_FALSE(checker.violations().empty());
-      EXPECT_EQ(checker.violations().front().invariant, "packet-conservation");
-    }
+  InvariantChecker checker{&inc.world.simulator, &inc.world.network};
+  for (auto& f : inc.flows) {
+    checker.watch(*f.sender);
+    f.sender->write(500 * 1460);
   }
+  inc.world.simulator.run_until(sim::SimTime::seconds(3));
+  ASSERT_GT(inj.stats().injected_drops(), 0u);  // faults actually fired
+  checker.check_now();
+  EXPECT_TRUE(checker.violations().empty())
+      << checker.violations().front().detail;
+}
+
+// The equation stays tight: drops no counter still holds must surface as a
+// leak. A destroyed injector detaches itself, so the packets it dropped
+// leave the books.
+TEST(InvariantChecker, DestroyedInjectorsDropsAreAConservationLeak) {
+  sim::CaptureLogSink capture;  // the violation is warned; keep it here
+  Incast inc{tcp::Protocol::kReno};
+  FaultConfig fc;
+  fc.seed = 5;
+  fc.loss_probability = 0.05;
+  auto inj = std::make_unique<FaultInjector>(&inc.world.simulator, fc);
+  inj->attach(*inc.topo.bottleneck);
+
+  InvariantChecker checker{&inc.world.simulator, &inc.world.network};
+  for (auto& f : inc.flows) f.sender->write(500 * 1460);
+  inc.world.simulator.run_until(sim::SimTime::millis(100));
+  ASSERT_GT(inj->stats().injected_drops(), 0u);
+  checker.check_now();
+  EXPECT_TRUE(checker.violations().empty())
+      << checker.violations().front().detail;
+
+  inj.reset();
+  checker.check_now();
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().invariant, "packet-conservation");
+}
+
+// Every recorded violation is warned as it is recorded, stamped with the
+// simulation time of its checkpoint.
+TEST(InvariantChecker, ViolationsAreWarnedWithTheirCheckpointTime) {
+  sim::CaptureLogSink capture;
+  Incast inc{tcp::Protocol::kReno};
+  InvariantChecker checker{&inc.world.simulator, &inc.world.network};
+  inc.world.simulator.run_until(sim::SimTime::millis(7));
+  checker.report("custom-invariant", "the numbers disagree");
+  ASSERT_EQ(capture.records().size(), 1u);
+  EXPECT_DOUBLE_EQ(capture.records()[0].sim_time_s, 0.007);
+  EXPECT_EQ(capture.records()[0].message,
+            "INVARIANT VIOLATION [custom-invariant]: the numbers disagree");
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].at, sim::SimTime::millis(7));
 }
 
 TEST(InvariantChecker, WatchedInjectorFaultMatrixStaysConserved) {
@@ -116,7 +150,6 @@ TEST(InvariantChecker, WatchedInjectorFaultMatrixStaysConserved) {
   inj.attach(*inc.topo.bottleneck);
 
   InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-  checker.watch(inj);
   for (auto& f : inc.flows) {
     checker.watch(*f.sender);
     f.sender->write(500 * 1460);

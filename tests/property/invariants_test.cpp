@@ -94,7 +94,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(tcp::Protocol::kReno, tcp::Protocol::kCubic,
                           tcp::Protocol::kDctcp, tcp::Protocol::kL2dct,
                           tcp::Protocol::kTrim, tcp::Protocol::kVegas,
-                          tcp::Protocol::kD2tcp, tcp::Protocol::kGip),
+                          tcp::Protocol::kGip),
         ::testing::Values(1, 4, 12),
         ::testing::Values(64, 512)),
     [](const ::testing::TestParamInfo<Param>& info) {

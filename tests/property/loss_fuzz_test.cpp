@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(tcp::Protocol::kReno, tcp::Protocol::kCubic,
                           tcp::Protocol::kDctcp, tcp::Protocol::kL2dct,
                           tcp::Protocol::kTrim, tcp::Protocol::kVegas,
-                          tcp::Protocol::kD2tcp, tcp::Protocol::kGip),
+                          tcp::Protocol::kGip),
         ::testing::Range(0, 5)),
     [](const ::testing::TestParamInfo<Param>& info) {
       auto name = tcp::to_string(std::get<0>(info.param)) + "_seed" +

@@ -1,5 +1,5 @@
-// Tests for the extension features: Vegas and GIP baselines, handshake
-// simulation, and the delayed-ACK receiver mode.
+// Tests for the extension features: Vegas and GIP baselines and handshake
+// simulation.
 #include <gtest/gtest.h>
 
 #include "tcp/gip.hpp"
@@ -178,51 +178,6 @@ TEST(Handshake, LostSynIsRetriedByRto) {
   EXPECT_TRUE(sender.connection_established());
   EXPECT_TRUE(sender.idle());
   EXPECT_GE(sender.stats().timeouts, 1u);
-}
-
-// ---------- delayed ACK ----------
-
-TEST(DelayedAck, HalvesAckVolumeOnCleanStream) {
-  HostPair net;
-  ReceiverConfig rc;
-  rc.delayed_ack = true;
-  TcpReceiver recv{&net.b, 1, net.a.id(), rc};
-  RenoSender sender{&net.a, net.b.id(), 1, TcpConfig{}};
-  sender.write(400 * 1460);
-  net.sim.run();
-  EXPECT_TRUE(sender.idle());
-  EXPECT_EQ(recv.delivered_bytes(), 400u * 1460);
-  // Roughly one ACK per two segments (plus timer-forced stragglers).
-  EXPECT_LT(recv.acks_sent(), 280u);
-  EXPECT_GE(recv.acks_sent(), 200u);
-}
-
-TEST(DelayedAck, OutOfOrderStillAcksImmediately) {
-  HostPair net;
-  ReceiverConfig rc;
-  rc.delayed_ack = true;
-  TcpReceiver recv{&net.b, 1, net.a.id(), rc};
-  RenoSender sender{&net.a, net.b.id(), 1, TcpConfig{}};
-  net.data_queue->drop_segment_once(50);
-  sender.write(300 * 1460);
-  net.sim.run();
-  // The hole produced enough immediate dupacks for fast retransmit.
-  EXPECT_EQ(sender.stats().fast_retransmits, 1u);
-  EXPECT_EQ(sender.stats().timeouts, 0u);
-  EXPECT_EQ(recv.delivered_bytes(), 300u * 1460);
-}
-
-TEST(DelayedAck, TimerFlushesTrailingSegment) {
-  HostPair net;
-  ReceiverConfig rc;
-  rc.delayed_ack = true;
-  rc.delack_timer = sim::SimTime::micros(400);
-  TcpReceiver recv{&net.b, 1, net.a.id(), rc};
-  RenoSender sender{&net.a, net.b.id(), 1, TcpConfig{}};
-  sender.write(1460);  // a single segment: only the timer can ack it
-  net.sim.run();
-  EXPECT_TRUE(sender.idle());
-  EXPECT_EQ(recv.acks_sent(), 1u);
 }
 
 }  // namespace
