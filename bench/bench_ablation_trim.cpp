@@ -8,7 +8,6 @@
 #include "bench_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/impairment_scenario.hpp"
-#include "exp/properties_scenario.hpp"
 #include "core/k_guideline.hpp"
 #include "core/sender_factory.hpp"
 #include "http/lpt_source.hpp"
@@ -128,9 +127,6 @@ int main() {
   // anchor automatically.
   const double c_pps = core::packets_per_second(net::kGbps, 1460);
   const auto k_star = [&] {
-    exp::PropertiesConfig probe_cfg;
-    probe_cfg.protocol = tcp::Protocol::kTrim;
-    probe_cfg.seed = exp::run_seed(0xAB1B, 99);
     exp::World world;
     topo::ManyToOneConfig topo_cfg;
     const auto topo = build_many_to_one(world.network, topo_cfg);

@@ -6,9 +6,9 @@
 
 #include "bench_util.hpp"
 #include "core/sender_factory.hpp"
+#include "http/response_stream.hpp"
 #include "http/train_analyzer.hpp"
 #include "http/train_workload.hpp"
-#include "http/onoff_source.hpp"
 #include "stats/table.hpp"
 #include "topo/many_to_one.hpp"
 
@@ -38,8 +38,10 @@ int main() {
     sequence.record(world.simulator.now(), static_cast<double>(seq_bytes) / 1460.0);
   });
 
-  http::OnOffSource source{&world.simulator, flow.sender.get(),
-                           http::TrainWorkload{sim::Rng{exp::base_seed()}}};
+  http::TrainWorkload workload{sim::Rng{exp::base_seed()}};
+  http::ResponseStream source{&world.simulator, flow.sender.get(),
+                              [&workload] { return workload.sample_train_bytes(); },
+                              [&workload] { return workload.sample_gap(); }};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(400));
   world.simulator.run_until(sim::SimTime::seconds(2));
 

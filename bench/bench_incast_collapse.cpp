@@ -28,9 +28,8 @@ struct IncastResult {
 // One synchronized round: every server sends `block_bytes` at t=0; the
 // round ends when the last byte arrives. Goodput = total bytes / round time.
 IncastResult run_round(tcp::Protocol protocol, int servers,
-                       std::uint64_t block_bytes, std::uint64_t seed) {
+                       std::uint64_t block_bytes) {
   exp::World world;
-  (void)seed;
   topo::ManyToOneConfig topo_cfg;
   topo_cfg.num_servers = servers;
   topo_cfg.switch_queue =
@@ -79,8 +78,8 @@ int main() {
   stats::Table table{{"#servers", "TCP goodput", "TRIM goodput", "TCP RTOs",
                       "TRIM RTOs", "TCP round (ms)", "TRIM round (ms)"}};
   for (int n : fan_in) {
-    const auto tcp_r = run_round(tcp::Protocol::kReno, n, block, 1);
-    const auto trim_r = run_round(tcp::Protocol::kTrim, n, block, 1);
+    const auto tcp_r = run_round(tcp::Protocol::kReno, n, block);
+    const auto trim_r = run_round(tcp::Protocol::kTrim, n, block);
     tele.merge(tcp_r.telemetry);
     tele.merge(trim_r.telemetry);
     report.add_row("fanin" + std::to_string(n),

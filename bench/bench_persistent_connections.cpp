@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
+#include "http/response_stream.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "topo/many_to_one.hpp"
@@ -41,13 +42,10 @@ StreamResult run_persistent(tcp::Protocol protocol, int count, std::uint64_t byt
   auto flow = core::make_protocol_flow(world.network, *topo.servers[0],
                                        *topo.front_end, protocol, opts);
   auto* sender = flow.sender.get();
-  int remaining = count;
-  sender->add_message_complete_callback([&](std::uint64_t, sim::SimTime now) {
-    if (--remaining > 0) {
-      world.simulator.schedule_at(now + gap, [sender, bytes] { sender->write(bytes); });
-    }
-  });
-  sender->write(bytes);
+  http::ResponseStream stream{&world.simulator, sender, [bytes] { return bytes; },
+                              [gap] { return gap; }};
+  stream.run(sim::SimTime::zero(), sim::SimTime::max(),
+             static_cast<std::uint64_t>(count));
   world.simulator.run_until(sim::SimTime::seconds(60));
 
   StreamResult out;

@@ -19,6 +19,7 @@
 #include "core/sender_factory.hpp"
 #include "exp/concurrency_scenario.hpp"
 #include "exp/experiment.hpp"
+#include "http/response_stream.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "topo/many_to_one.hpp"
@@ -39,19 +40,15 @@ double uncongested_train_act_ms(tcp::Protocol protocol, int trains) {
                                          sim::SimTime::millis(200));
   auto flow = core::make_protocol_flow(world.network, *topo.servers[0],
                                        *topo.front_end, protocol, opts);
-  auto* sender = flow.sender.get();
-  int remaining = trains;
-  sender->add_message_complete_callback([&](std::uint64_t, sim::SimTime now) {
-    if (--remaining > 0) {
-      world.simulator.schedule_at(now + sim::SimTime::millis(5),
-                                  [sender] { sender->write(256 * 1024); });
-    }
-  });
-  sender->write(256 * 1024);
+  http::ResponseStream stream{&world.simulator, flow.sender.get(),
+                              [] { return std::uint64_t{256 * 1024}; },
+                              [] { return sim::SimTime::millis(5); }};
+  stream.run(sim::SimTime::zero(), sim::SimTime::max(),
+             static_cast<std::uint64_t>(trains));
   world.simulator.run_until(sim::SimTime::seconds(30));
 
   stats::Summary act;
-  for (const auto& t : sender->stats().completed_message_times()) {
+  for (const auto& t : flow.sender->stats().completed_message_times()) {
     act.add(t.to_millis());
   }
   return act.mean();

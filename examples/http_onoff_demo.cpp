@@ -8,8 +8,9 @@
 
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
-#include "http/onoff_source.hpp"
+#include "http/response_stream.hpp"
 #include "http/train_analyzer.hpp"
+#include "http/train_workload.hpp"
 #include "stats/summary.hpp"
 #include "topo/many_to_one.hpp"
 
@@ -32,17 +33,19 @@ int main() {
     analyzer.observe(world.simulator.now(), static_cast<std::uint32_t>(bytes));
   });
 
-  // ON/OFF source: next train starts one sampled gap after the previous
+  // ON/OFF stream: next train starts one sampled gap after the previous
   // train is fully acked (persistent HTTP request/response pacing).
-  http::OnOffSource source{&world.simulator, flow.sender.get(),
-                           http::TrainWorkload{sim::Rng{2016}}};
+  http::TrainWorkload workload{sim::Rng{2016}};
+  http::ResponseStream source{&world.simulator, flow.sender.get(),
+                              [&workload] { return workload.sample_train_bytes(); },
+                              [&workload] { return workload.sample_gap(); }};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(500));
   world.simulator.run_until(sim::SimTime::seconds(3));
 
   const auto& trains = analyzer.finish();
   std::printf("emitted %llu trains (%.1f MB total) on one persistent connection\n",
-              static_cast<unsigned long long>(source.trains_emitted()),
-              static_cast<double>(source.bytes_emitted()) / 1e6);
+              static_cast<unsigned long long>(flow.sender->stats().messages().size()),
+              static_cast<double>(flow.sender->bytes_written()) / 1e6);
   std::printf("receiver reassembled %zu trains\n", trains.size());
 
   const auto& st = flow.sender->stats();

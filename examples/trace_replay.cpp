@@ -10,9 +10,10 @@
 
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
-#include "http/onoff_source.hpp"
+#include "http/response_stream.hpp"
 #include "http/trace_io.hpp"
 #include "http/train_analyzer.hpp"
+#include "http/train_workload.hpp"
 #include "stats/summary.hpp"
 #include "topo/many_to_one.hpp"
 
@@ -35,7 +36,9 @@ std::vector<http::TrainRecord> record_phase(http::TrainWorkload workload) {
   flow.receiver->set_deliver_callback([&](std::uint64_t bytes) {
     analyzer.observe(world.simulator.now(), static_cast<std::uint32_t>(bytes));
   });
-  http::OnOffSource source{&world.simulator, flow.sender.get(), std::move(workload)};
+  http::ResponseStream source{&world.simulator, flow.sender.get(),
+                              [&workload] { return workload.sample_train_bytes(); },
+                              [&workload] { return workload.sample_gap(); }};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(800));
   world.simulator.run_until(sim::SimTime::seconds(3));
   return analyzer.finish();

@@ -36,7 +36,6 @@ ConcurrencyResult run_concurrency(const ConcurrencyConfig& cfg) {
   for (int i = 0; i < cfg.num_lpt_servers; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
     lpts.push_back(std::make_unique<http::LptSource>(&world.simulator,
                                                      flows.back().sender.get()));
     lpts.back()->run(cfg.lpt_start, cfg.run_until);
@@ -58,7 +57,6 @@ ConcurrencyResult run_concurrency(const ConcurrencyConfig& cfg) {
     flows.push_back(core::make_protocol_flow(world.network, *server, *topo.front_end,
                                              cfg.protocol, opts));
     auto* sender = flows.back().sender.get();
-    inv.watch(*sender);
     spt_senders.push_back(sender);
 
     sim::SimTime t = warmup_start;

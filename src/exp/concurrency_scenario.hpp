@@ -21,7 +21,7 @@ struct ConcurrencyConfig {
   static constexpr sim::SimTime lpt_start = sim::SimTime::seconds(0.1);
   static constexpr sim::SimTime spt_start = sim::SimTime::seconds(0.3);
   sim::SimTime run_until = sim::SimTime::seconds(3.0);
-  sim::SimTime min_rto = sim::SimTime::millis(200);
+  static constexpr sim::SimTime min_rto = sim::SimTime::millis(200);
   // The SPT connections are *persistent* and warm: before the burst they
   // carry small responses ("rebuild the previous many-to-one scenario"),
   // so legacy TCP inherits a large window into the 0.3 s burst — the

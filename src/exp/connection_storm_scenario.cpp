@@ -40,9 +40,9 @@ void validate(const ConnectionStormConfig& cfg) {
 
 namespace {
 
-// One live connection of the storm. Endpoints are reaped (unwatched and
-// destroyed) once both sides reach a terminal state; the struct stays so
-// the final accounting still sees every connection.
+// One live connection of the storm. Endpoints are reaped (destroyed) once
+// both sides reach a terminal state; the struct stays so the final
+// accounting still sees every connection.
 struct Conn {
   tcp::Flow flow;
   int client = 0;
@@ -118,9 +118,9 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   // Reap a connection once both endpoints are terminal: snapshot the
   // lifecycle stats, return the ephemeral port (immediately after a
   // graceful close — the sender's own TIME_WAIT already dwelled — or with
-  // an allocator-enforced hold after an abort), drop the invariant
-  // watches, and destroy the endpoints. Deferred to a zero-delay event:
-  // the trigger is a callback running inside the endpoint being destroyed.
+  // an allocator-enforced hold after an abort), and destroy the endpoints.
+  // Deferred to a zero-delay event: the trigger is a callback running
+  // inside the endpoint being destroyed.
   auto maybe_reap = [&](Conn* c) {
     if (c->reaped || !c->sender_closed) return;
     // A passive endpoint still in LISTEN after the sender is done never
@@ -139,8 +139,6 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
       } else {
         ports[c->client]->release_with_hold(c->port, cfg.lifecycle.time_wait);
       }
-      inv.unwatch(*c->flow.sender);
-      inv.unwatch(*c->flow.receiver);
       c->flow.sender.reset();
       c->flow.receiver.reset();
     });
@@ -172,8 +170,6 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
                                             *topo.front_end, cfg.protocol, opts,
                                             rcfg);
       conn->flow.receiver->set_listen_queue(&backlog);
-      inv.watch(*conn->flow.sender);
-      inv.watch(*conn->flow.receiver);
       Conn* c = conn.get();
       c->flow.sender->add_closed_callback([&, c](bool graceful, sim::SimTime) {
         c->sender_closed = true;

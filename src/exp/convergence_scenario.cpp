@@ -41,7 +41,6 @@ ConvergenceResult run_convergence(const ConvergenceConfig& cfg) {
   for (int i = 0; i < n; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
     meters.push_back(std::make_unique<stats::RateMeter>(cfg.bin));
     auto* meter = meters.back().get();
     auto* sim_ptr = &world.simulator;

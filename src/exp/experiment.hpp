@@ -128,7 +128,6 @@ bool invariants_enabled();
 //
 //   World world;
 //   InvariantScope inv{world, cfg.run_until};   // checkpoint grid
-//   inv.watch(*flow.sender); ...
 //   world.run_until(cfg.run_until);
 //   inv.finish();   // final checkpoint; loud failure on any violation
 //
@@ -136,12 +135,12 @@ bool invariants_enabled();
 // a mid-run checkpoint would read every shard's state while the workers
 // are inside a window — but finish() still runs the full final check once
 // the engine has quiesced.
-// Fault injectors need no registration: the checker reads the injector
-// attached to each link. finish() must be called while the watched
-// senders are still alive; every violation is warned (sim::warn) as the
-// checker records it, and finish() (by default) aborts on any, so CI
-// cannot miss a broken run. The destructor only warns when finish() was
-// skipped.
+// Endpoints and fault injectors need no registration: the checker finds
+// the TCP senders and receivers registered on each host, and the injector
+// attached to each link; only listen queues are watched. Every violation
+// is warned (sim::warn) as the checker records it, and finish() (by
+// default) aborts on any, so CI cannot miss a broken run. The destructor
+// only warns when finish() was skipped.
 class InvariantScope {
  public:
   // `horizon` > 0 schedules periodic checkpoints across the run.
@@ -151,21 +150,8 @@ class InvariantScope {
   InvariantScope(const InvariantScope&) = delete;
   InvariantScope& operator=(const InvariantScope&) = delete;
 
-  void watch(tcp::TcpSender& sender) {
-    if (checker_) checker_->watch(sender);
-  }
-  void watch(tcp::TcpReceiver& receiver) {
-    if (checker_) checker_->watch(receiver);
-  }
   void watch(tcp::ListenQueue& queue) {
     if (checker_) checker_->watch(queue);
-  }
-  // Churn scenarios destroy endpoints mid-run; they must unwatch first.
-  void unwatch(tcp::TcpSender& sender) {
-    if (checker_) checker_->unwatch(sender);
-  }
-  void unwatch(tcp::TcpReceiver& receiver) {
-    if (checker_) checker_->unwatch(receiver);
   }
 
   // Final checkpoint + report. Returns the violation count (0 when

@@ -43,7 +43,6 @@ FattreeResult run_fattree(const FattreeConfig& cfg) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.hosts[i],
                                              *topo.hosts[sink], cfg.protocol, opts));
     auto* sender = flows.back().sender.get();
-    inv.watch(*sender);
 
     // Small objects (2-6 KB), spaced on the persistent connection. The
     // application timer lives on the sending host's shard.

@@ -1,21 +1,16 @@
 #include "exp/impairment_scenario.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "exp/experiment.hpp"
-#include "http/http_app.hpp"
 #include "stats/rate_meter.hpp"
 #include "topo/many_to_one.hpp"
 
 namespace trim::exp {
 
 ImpairmentResult run_impairment(const ImpairmentConfig& cfg) {
-  require(cfg.num_servers >= 1, "no servers", "ImpairmentConfig::num_servers",
-          ">= 1");
   static_assert(ImpairmentConfig::response_start < ImpairmentConfig::lpt_start);
-  require(cfg.run_until > cfg.lpt_start, "bad schedule",
-          "ImpairmentConfig::run_until", "> lpt_start (0.5 s)");
+  static_assert(ImpairmentConfig::lpt_start < ImpairmentConfig::run_until);
   World world;
   InvariantScope inv{world, cfg.run_until};
   sim::Rng rng{cfg.seed};
@@ -35,24 +30,21 @@ ImpairmentResult run_impairment(const ImpairmentConfig& cfg) {
       default_options(cfg.protocol, topo_cfg.link_bps, sim::SimTime::millis(200));
 
   std::vector<tcp::Flow> flows;
-  std::vector<std::unique_ptr<http::HttpResponseApp>> apps;
   for (int i = 0; i < cfg.num_servers; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
-    apps.push_back(std::make_unique<http::HttpResponseApp>(&world.simulator,
-                                                           flows.back().sender.get()));
   }
   flows.back().sender->set_cwnd_trace(&result.cwnd_last_conn);
 
   // Schedule the 200 small responses per server (open loop, Sec. II-B).
   for (int i = 0; i < cfg.num_servers; ++i) {
+    tcp::TcpSender* s = flows[i].sender.get();
     sim::SimTime t = cfg.response_start;
     for (int r = 0; r < cfg.responses_per_server; ++r) {
       const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(
           static_cast<std::int64_t>(cfg.response_min_bytes),
           static_cast<std::int64_t>(cfg.response_max_bytes)));
-      apps[i]->schedule_response(t, bytes);
+      world.simulator.schedule_at(t, [s, bytes] { s->write(bytes); });
       t += rng.exponential_time(cfg.response_mean_gap);
     }
   }
@@ -70,7 +62,7 @@ ImpairmentResult run_impairment(const ImpairmentConfig& cfg) {
   std::vector<std::uint64_t> lpt_ids(cfg.num_servers, 0);
   for (int i = 0; i < cfg.num_servers; ++i) {
     world.simulator.schedule_at(cfg.lpt_start, [&, i] {
-      lpt_ids[i] = apps[i]->send_response(cfg.lpt_bytes);
+      lpt_ids[i] = flows[i].sender->write(cfg.lpt_bytes);
     });
   }
 

@@ -17,15 +17,15 @@ namespace trim::exp {
 
 struct ImpairmentConfig {
   tcp::Protocol protocol = tcp::Protocol::kReno;
-  int num_servers = 5;
-  int responses_per_server = 200;
+  static constexpr int num_servers = 5;
+  static constexpr int responses_per_server = 200;
   static constexpr std::uint64_t response_min_bytes = 2 * 1024;
   static constexpr std::uint64_t response_max_bytes = 10 * 1024;
   static constexpr sim::SimTime response_mean_gap = sim::SimTime::millis(1);
   static constexpr sim::SimTime response_start = sim::SimTime::seconds(0.1);
   static constexpr sim::SimTime lpt_start = sim::SimTime::seconds(0.5);
   static constexpr std::uint64_t lpt_bytes = 100 * 1460;  // > 128 KB
-  sim::SimTime run_until = sim::SimTime::seconds(1.5);
+  static constexpr sim::SimTime run_until = sim::SimTime::seconds(1.5);
   std::uint64_t seed = 1;
 };
 

@@ -50,7 +50,6 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
       flows.push_back(core::make_protocol_flow(world.network, *server,
                                                *topo.front_end, cfg.protocol, opts));
       auto* sender = flows.back().sender.get();
-      inv.watch(*sender);
 
       if (h < cfg.lpt_servers_per_switch) {
         lpt_sources.push_back(std::make_unique<http::LptSource>(

@@ -64,9 +64,6 @@ MultihopResult run_multihop(const MultihopConfig& cfg) {
                                 cfg.protocol, opts, cfg.start, cfg.stop));
     group_c.push_back(start_lpt(world, *topo.group_c[i], *topo.group_d[i],
                                 cfg.protocol, opts, cfg.start, cfg.stop));
-    inv.watch(*group_a.back().flow.sender);
-    inv.watch(*group_b.back().flow.sender);
-    inv.watch(*group_c.back().flow.sender);
   }
 
   world.simulator.run_until(cfg.stop);

@@ -37,7 +37,6 @@ PropertiesResult run_properties(const PropertiesConfig& cfg) {
   for (int i = 0; i < cfg.num_lpts; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
     auto* sim_ptr = &world.simulator;
     flows.back().receiver->set_deliver_callback(
         [&goodput, sim_ptr](std::uint64_t bytes) {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
-#include "http/http_app.hpp"
+#include "http/response_stream.hpp"
 #include "tcp/rst_responder.hpp"
 #include "topo/many_to_one.hpp"
 
@@ -58,8 +58,7 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
 
   // Persistent mode: one long-lived flow per server.
   std::vector<tcp::Flow> flows;
-  std::vector<std::unique_ptr<http::HttpResponseApp>> apps;
-  std::vector<int> remaining(cfg.num_servers, cfg.messages_per_server - 1);
+  std::vector<std::unique_ptr<http::ResponseStream>> streams;
 
   // Churn mode: each server runs its messages serially, one fresh
   // connection per message, reaping the endpoints once both reach a
@@ -128,8 +127,6 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
         sv.syn_retx += ls.syn_retx + lr.synack_retx;
         sv.fin_retx += ls.fin_retx + lr.fin_retx;
         sv.rst_sent += ls.rst_sent + lr.rst_sent;
-        inv.unwatch(*sv.live.sender);
-        inv.unwatch(*sv.live.receiver);
         sv.live.sender.reset();
         sv.live.receiver.reset();
         if (sv.remaining > 0) {
@@ -147,8 +144,6 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
       s.live = core::make_protocol_flow(world.network, *topo.servers[i],
                                         *topo.front_end, cfg.protocol, opts, rcfg);
       s.live.receiver->set_listen_queue(backlog.get());
-      inv.watch(*s.live.sender);
-      inv.watch(*s.live.receiver);
       s.live.sender->add_closed_callback([&, i, maybe_reap](bool graceful,
                                                             sim::SimTime) {
         auto& sv = churn[static_cast<std::size_t>(i)];
@@ -173,19 +168,15 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
     for (int i = 0; i < cfg.num_servers; ++i) {
       flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                                *topo.front_end, cfg.protocol, opts));
-      inv.watch(*flows.back().sender);
-      apps.push_back(std::make_unique<http::HttpResponseApp>(
-          &world.simulator, flows.back().sender.get()));
       // Closed-loop gapped train: the next response goes out `message_gap`
       // after the previous one completes, so every message (after the
       // first) starts from an idle connection — the TRIM probing case.
-      flows.back().sender->add_message_complete_callback(
-          [&, i](std::uint64_t /*msg_id*/, sim::SimTime now) {
-            if (remaining[i] <= 0) return;
-            --remaining[i];
-            apps[i]->schedule_response(now + cfg.message_gap, cfg.message_bytes);
-          });
-      apps[i]->schedule_response(cfg.start, cfg.message_bytes);
+      streams.push_back(std::make_unique<http::ResponseStream>(
+          &world.simulator, flows.back().sender.get(),
+          [] { return ResilienceConfig::message_bytes; },
+          [] { return ResilienceConfig::message_gap; }));
+      streams.back()->run(cfg.start, sim::SimTime::max(),
+                          static_cast<std::uint64_t>(cfg.messages_per_server));
     }
   }
 
@@ -240,7 +231,8 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
     for (int i = 0; i < cfg.num_servers; ++i) {
       acked_bytes += flows[i].sender->bytes_acked();
       result.total_timeouts += flows[i].sender->stats().timeouts;
-      result.messages_completed += apps[i]->completed();
+      result.messages_completed +=
+          flows[i].sender->stats().completed_message_times().size();
 
       obs::FlowSummary fs;
       fs.flow = flows[i].sender->flow_id();

@@ -6,53 +6,12 @@
 
 #include "exp/experiment.hpp"
 #include "http/lpt_source.hpp"
+#include "http/response_stream.hpp"
 #include "http/train_workload.hpp"
 #include "stats/summary.hpp"
 #include "topo/many_to_one.hpp"
 
 namespace trim::exp {
-
-namespace {
-
-// Closed-loop response stream: sends `count` responses, each starting one
-// think-time after the previous one completes (the serialized
-// request/response pattern of a persistent HTTP connection).
-class ResponseStream {
- public:
-  using SizeSampler = std::function<std::uint64_t()>;
-  using GapSampler = std::function<sim::SimTime()>;
-
-  ResponseStream(sim::Simulator* sim, tcp::TcpSender* sender, int count,
-                 SizeSampler size, GapSampler gap)
-      : sim_{sim},
-        sender_{sender},
-        remaining_{count},
-        size_{std::move(size)},
-        gap_{std::move(gap)} {
-    sender_->add_message_complete_callback([this](std::uint64_t, sim::SimTime now) {
-      if (remaining_ > 0) sim_->schedule_at(now + gap_(), [this] { send_next(); });
-    });
-  }
-
-  void start(sim::SimTime at) {
-    sim_->schedule_at(at, [this] { send_next(); });
-  }
-
- private:
-  void send_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
-    sender_->write(size_());
-  }
-
-  sim::Simulator* sim_;
-  tcp::TcpSender* sender_;
-  int remaining_;
-  SizeSampler size_;
-  GapSampler gap_;
-};
-
-}  // namespace
 
 ArctResult run_arct(const ArctConfig& cfg) {
   require(cfg.num_responses >= 1, "no responses", "ArctConfig::num_responses",
@@ -81,7 +40,6 @@ ArctResult run_arct(const ArctConfig& cfg) {
   for (int i = 0; i < cfg.background_senders; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
     elephants.push_back(std::make_unique<http::LptSource>(
         &world.simulator, flows.back().sender.get(), 512 * 1024));
     elephants.back()->run(sim::SimTime::zero(), horizon);
@@ -92,14 +50,15 @@ ArctResult run_arct(const ArctConfig& cfg) {
                                            *topo.servers[cfg.background_senders],
                                            *topo.front_end, cfg.protocol, opts));
   auto* responder = flows.back().sender.get();
-  inv.watch(*responder);
   const auto lo = static_cast<std::int64_t>(cfg.mean_response_bytes * 0.9);
   const auto hi = static_cast<std::int64_t>(cfg.mean_response_bytes * 1.1);
-  ResponseStream stream{
-      &world.simulator, responder, cfg.num_responses,
+  http::ResponseStream stream{
+      &world.simulator, responder,
       [&rng, lo, hi] { return static_cast<std::uint64_t>(rng.uniform_int(lo, hi)); },
       [] { return ArctConfig::think_time; }};
-  stream.start(sim::SimTime::seconds(0.5));  // after the elephants ramp up
+  // After the elephants ramp up.
+  stream.run(sim::SimTime::seconds(0.5), sim::SimTime::max(),
+             static_cast<std::uint64_t>(cfg.num_responses));
 
   // Run in chunks and stop as soon as the response stream is done (the
   // elephants would otherwise keep the simulation busy to the horizon).
@@ -128,8 +87,6 @@ ArctResult run_arct(const ArctConfig& cfg) {
 }
 
 WebServiceResult run_web_service(const WebServiceConfig& cfg) {
-  require(cfg.num_servers >= 1, "no servers", "WebServiceConfig::num_servers",
-          ">= 1");
   require(cfg.responses_per_server >= 1, "no responses",
           "WebServiceConfig::responses_per_server", ">= 1");
   World world;
@@ -150,17 +107,16 @@ WebServiceResult run_web_service(const WebServiceConfig& cfg) {
   auto gap_cdf = http::TrainWorkload::default_gap_cdf();
 
   std::vector<tcp::Flow> flows;
-  std::vector<std::unique_ptr<ResponseStream>> streams;
+  std::vector<std::unique_ptr<http::ResponseStream>> streams;
   std::vector<sim::Rng> rngs;
   for (int i = 0; i < cfg.num_servers; ++i) rngs.push_back(rng.fork());
 
   for (int i = 0; i < cfg.num_servers; ++i) {
     flows.push_back(core::make_protocol_flow(world.network, *topo.servers[i],
                                              *topo.front_end, cfg.protocol, opts));
-    inv.watch(*flows.back().sender);
     auto* r = &rngs[i];
-    streams.push_back(std::make_unique<ResponseStream>(
-        &world.simulator, flows.back().sender.get(), cfg.responses_per_server,
+    streams.push_back(std::make_unique<http::ResponseStream>(
+        &world.simulator, flows.back().sender.get(),
         [r, &size_cdf] {
           return static_cast<std::uint64_t>(std::max(size_cdf.sample(*r), 512.0));
         },
@@ -168,7 +124,8 @@ WebServiceResult run_web_service(const WebServiceConfig& cfg) {
           return sim::SimTime::nanos(
               static_cast<std::int64_t>(gap_cdf.sample(*r) * 1000.0));
         }));
-    streams.back()->start(sim::SimTime::millis(1) * (i + 1));
+    streams.back()->run(sim::SimTime::millis(1) * (i + 1), sim::SimTime::max(),
+                        static_cast<std::uint64_t>(cfg.responses_per_server));
   }
 
   const int expected = cfg.num_servers * cfg.responses_per_server;

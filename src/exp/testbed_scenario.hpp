@@ -48,7 +48,7 @@ ArctResult run_arct(const ArctConfig& cfg);
 
 struct WebServiceConfig {
   tcp::Protocol protocol = tcp::Protocol::kCubic;
-  int num_servers = 4;
+  static constexpr int num_servers = 4;
   int responses_per_server = 1000;  // paper: 4000 total
   std::uint64_t seed = 1;
 };

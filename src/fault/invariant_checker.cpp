@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include <algorithm>
-
 #include "fault/fault_injector.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
@@ -27,14 +25,6 @@ InvariantChecker::InvariantChecker(sim::Simulator* sim, net::Network* network)
 
 namespace {
 
-template <typename T>
-void swap_remove(std::vector<T*>& v, T* x) {
-  const auto it = std::find(v.begin(), v.end(), x);
-  if (it == v.end()) return;
-  *it = v.back();
-  v.pop_back();
-}
-
 // True for the states whose only way forward is a peer response: without
 // an armed retransmission timer the connection is wedged if that response
 // was lost.
@@ -45,22 +35,6 @@ bool needs_retx_timer(tcp::ConnState s) {
 }
 
 }  // namespace
-
-void InvariantChecker::watch(tcp::TcpSender& sender) {
-  senders_.push_back(&sender);
-}
-
-void InvariantChecker::unwatch(tcp::TcpSender& sender) {
-  swap_remove(senders_, &sender);
-}
-
-void InvariantChecker::watch(tcp::TcpReceiver& receiver) {
-  receivers_.push_back(&receiver);
-}
-
-void InvariantChecker::unwatch(tcp::TcpReceiver& receiver) {
-  swap_remove(receivers_, &receiver);
-}
 
 void InvariantChecker::watch(tcp::ListenQueue& queue) {
   listen_queues_.push_back(&queue);
@@ -76,8 +50,7 @@ void InvariantChecker::report(std::string invariant, std::string detail) {
 void InvariantChecker::check_now() {
   ++checkpoints_;
   check_conservation();
-  check_senders();
-  check_receivers();
+  check_endpoints();
   check_listen_queues();
 }
 
@@ -137,65 +110,73 @@ void InvariantChecker::check_conservation() {
   }
 }
 
-void InvariantChecker::check_senders() {
+void InvariantChecker::check_endpoints() {
+  for (std::size_t id = 0; id < network_->node_count(); ++id) {
+    const auto* host =
+        dynamic_cast<const net::Host*>(&network_->node(static_cast<net::NodeId>(id)));
+    if (host == nullptr) continue;
+    host->for_each_agent([this](const net::Agent& a) {
+      if (const auto* s = dynamic_cast<const tcp::TcpSender*>(&a)) {
+        check_sender(*s);
+      } else if (const auto* r = dynamic_cast<const tcp::TcpReceiver*>(&a)) {
+        check_receiver(*r);
+      }
+    });
+  }
+}
+
+void InvariantChecker::check_sender(const tcp::TcpSender& s) {
   // Tolerance for the double-valued window: a bound violated by less than
   // this is floating-point noise, not a protocol bug.
   constexpr double kEps = 1e-9;
-  for (const auto* s : senders_) {
-    const std::string who = "flow " + std::to_string(s->flow_id()) + " (" +
-                            tcp::to_string(s->protocol()) + ")";
-    if (s->cwnd() < s->config().min_cwnd - kEps) {
-      report("cwnd-bounds", who + ": cwnd=" + std::to_string(s->cwnd()) +
-                                " < min_cwnd=" + std::to_string(s->config().min_cwnd));
+  const std::string who = "flow " + std::to_string(s.flow_id()) + " (" +
+                          tcp::to_string(s.protocol()) + ")";
+  if (s.cwnd() < s.config().min_cwnd - kEps) {
+    report("cwnd-bounds", who + ": cwnd=" + std::to_string(s.cwnd()) +
+                              " < min_cwnd=" + std::to_string(s.config().min_cwnd));
+  }
+  if (s.protocol() == tcp::Protocol::kTrim && s.cwnd() < 2.0 - kEps) {
+    report("trim-cwnd-floor",
+           who + ": cwnd=" + std::to_string(s.cwnd()) + " < 2 (Eq. 1 clamp)");
+  }
+  if (!s.idle() && s.connection_established() && !s.retransmit_timer_armed() &&
+      !s.cc_wakeup_pending()) {
+    report("flow-liveness",
+           who + ": " + std::to_string(s.in_flight()) +
+               " segment(s) outstanding, snd_una=" + std::to_string(s.snd_una()) +
+               ", but no RTO armed and no CC wakeup pending");
+  }
+  if (s.cc_suspended() && !s.cc_wakeup_pending() && !s.retransmit_timer_armed()) {
+    report("probe-state",
+           who + ": transmission suspended with no probe timer and no RTO");
+  }
+  if (s.config().simulate_handshake) {
+    const auto st = s.conn_state();
+    if (needs_retx_timer(st) && !s.retransmit_timer_armed()) {
+      report("lifecycle-liveness",
+             who + ": state " + tcp::to_string(st) + " with no RTO armed");
     }
-    if (s->protocol() == tcp::Protocol::kTrim && s->cwnd() < 2.0 - kEps) {
-      report("trim-cwnd-floor",
-             who + ": cwnd=" + std::to_string(s->cwnd()) + " < 2 (Eq. 1 clamp)");
-    }
-    if (!s->idle() && s->connection_established() &&
-        !s->retransmit_timer_armed() && !s->cc_wakeup_pending()) {
-      report("flow-liveness",
-             who + ": " + std::to_string(s->in_flight()) +
-                 " segment(s) outstanding, snd_una=" + std::to_string(s->snd_una()) +
-                 ", but no RTO armed and no CC wakeup pending");
-    }
-    if (s->cc_suspended() && !s->cc_wakeup_pending() &&
-        !s->retransmit_timer_armed()) {
-      report("probe-state",
-             who + ": transmission suspended with no probe timer and no RTO");
-    }
-    if (s->config().simulate_handshake) {
-      const auto st = s->conn_state();
-      if (needs_retx_timer(st) && !s->retransmit_timer_armed()) {
-        report("lifecycle-liveness",
-               who + ": state " + tcp::to_string(st) + " with no RTO armed");
-      }
-      if (st == tcp::ConnState::kTimeWait && !s->time_wait_timer_armed()) {
-        report("lifecycle-liveness",
-               who + ": TIME_WAIT with no dwell timer armed");
-      }
+    if (st == tcp::ConnState::kTimeWait && !s.time_wait_timer_armed()) {
+      report("lifecycle-liveness", who + ": TIME_WAIT with no dwell timer armed");
     }
   }
 }
 
-void InvariantChecker::check_receivers() {
-  for (const auto* r : receivers_) {
-    const std::string who = "receiver flow " + std::to_string(r->flow_id());
-    if (r->data_before_established() > 0) {
-      report("data-before-established",
-             who + ": " + std::to_string(r->data_before_established()) +
-                 " data segment(s) arrived with no connection open");
-    }
-    if (!r->lifecycle_active()) continue;
-    const auto st = r->conn_state();
-    if (needs_retx_timer(st) && !r->retx_timer_armed()) {
-      report("lifecycle-liveness",
-             who + ": state " + tcp::to_string(st) +
-                 " with no control retransmission timer armed");
-    }
-    if (st == tcp::ConnState::kTimeWait && !r->time_wait_timer_armed()) {
-      report("lifecycle-liveness", who + ": TIME_WAIT with no dwell timer armed");
-    }
+void InvariantChecker::check_receiver(const tcp::TcpReceiver& r) {
+  const std::string who = "receiver flow " + std::to_string(r.flow_id());
+  if (r.data_before_established() > 0) {
+    report("data-before-established",
+           who + ": " + std::to_string(r.data_before_established()) +
+               " data segment(s) arrived with no connection open");
+  }
+  if (!r.lifecycle_active()) return;
+  const auto st = r.conn_state();
+  if (needs_retx_timer(st) && !r.retx_timer_armed()) {
+    report("lifecycle-liveness", who + ": state " + tcp::to_string(st) +
+                                     " with no control retransmission timer armed");
+  }
+  if (st == tcp::ConnState::kTimeWait && !r.time_wait_timer_armed()) {
+    report("lifecycle-liveness", who + ": TIME_WAIT with no dwell timer armed");
   }
 }
 

@@ -1,6 +1,7 @@
 // Simulation-wide invariant checker / watchdog.
 //
-// Watches a Network plus any number of TCP endpoints and verifies, at
+// Watches a Network — every TCP sender and receiver registered on its
+// hosts, plus any listen queues handed to watch() — and verifies, at
 // checkpoints, that the simulation is still self-consistent:
 //
 //   * packet conservation — every packet ever injected by a host (plus
@@ -10,7 +11,7 @@
 //     propagating on some link). Fault drops and duplicates are read from
 //     the injector attached to each link at the checkpoint. A leak on
 //     either side means a counter or an event went missing;
-//   * cwnd bounds — every watched sender satisfies cwnd >= its configured
+//   * cwnd bounds — every sender satisfies cwnd >= its configured
 //     minimum; TCP-TRIM senders additionally satisfy the paper's hard
 //     floor cwnd >= 2 (Eq. 1 clamp, Sec. III-C);
 //   * per-flow liveness — a sender with unacked data has something armed
@@ -23,7 +24,7 @@
 //     (SYN_SENT, SYN_RCVD, FIN_WAIT_1, CLOSING, LAST_ACK) must have a
 //     retransmission timer armed, and TIME_WAIT must hold its dwell timer,
 //     or the connection can never finish closing;
-//   * no data before ESTABLISHED — a watched receiver must never have
+//   * no data before ESTABLISHED — a receiver must never have
 //     accepted a data segment while no connection was open;
 //   * backlog bounds — a watched listen queue's occupancy (and recorded
 //     peak) stays within [0, depth].
@@ -69,20 +70,19 @@ class InvariantChecker {
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
 
-  // Senders get the cwnd / liveness / probe checks plus — when the
-  // lifecycle is on — the state-machine checks (a state that is waiting on
-  // the peer must have a timer armed; TIME_WAIT must hold its dwell
-  // timer). Lifetime: watched objects must outlive the checker, or be
-  // unwatch()ed before destruction (churn scenarios destroy endpoints
-  // mid-run).
-  void watch(tcp::TcpSender& sender);
-  void unwatch(tcp::TcpSender& sender);
-  // Receivers get the passive-side lifecycle checks, plus the hard
-  // no-data-before-ESTABLISHED invariant.
-  void watch(tcp::TcpReceiver& receiver);
-  void unwatch(tcp::TcpReceiver& receiver);
-  // Listen queues get the occupancy bound: 0 <= occupancy <= depth, and
-  // the same for the recorded peak.
+  // Endpoints need no registration: each checkpoint checks the senders
+  // and receivers registered on the network's hosts at that moment (a
+  // destroyed endpoint has unregistered itself). Senders get the cwnd /
+  // liveness / probe checks plus — when the lifecycle is on — the
+  // state-machine checks (a state that is waiting on the peer must have a
+  // timer armed; TIME_WAIT must hold its dwell timer); receivers get the
+  // passive-side lifecycle checks and the no-data-before-ESTABLISHED
+  // invariant.
+  //
+  // Listen queues are not a host's agents, so they are watched: the
+  // occupancy bound is 0 <= occupancy <= depth, and the same for the
+  // recorded peak. A watched queue must outlive the checker's last
+  // checkpoint.
   void watch(tcp::ListenQueue& queue);
 
   // Run every check at the current simulation time.
@@ -102,14 +102,13 @@ class InvariantChecker {
 
  private:
   void check_conservation();
-  void check_senders();
-  void check_receivers();
+  void check_endpoints();
+  void check_sender(const tcp::TcpSender& s);
+  void check_receiver(const tcp::TcpReceiver& r);
   void check_listen_queues();
 
   sim::Simulator* sim_;
   net::Network* network_;
-  std::vector<tcp::TcpSender*> senders_;
-  std::vector<tcp::TcpReceiver*> receivers_;
   std::vector<tcp::ListenQueue*> listen_queues_;
   std::vector<Violation> violations_;
   std::uint64_t checkpoints_ = 0;

@@ -1,35 +1,28 @@
 // Continuous long-packet-train source: keeps the connection backlogged by
 // writing fixed-size chunks whenever the previous chunk completes, between
-// a start and a stop time. Models the paper's "LPT running throughout the
-// test" senders (Figs. 8-11) while remaining stoppable mid-run (the
-// convergence test stops senders one by one).
+// a start and a stop time — a ResponseStream with a fixed size and a zero
+// gap. Models the paper's "LPT running throughout the test" senders
+// (Figs. 8-11) while remaining stoppable mid-run (the convergence test
+// stops senders one by one).
 #pragma once
 
 #include <cstdint>
 
-#include "sim/simulator.hpp"
-#include "tcp/tcp_sender.hpp"
+#include "http/response_stream.hpp"
+#include "sim/config_error.hpp"
 
 namespace trim::http {
 
-class LptSource {
+class LptSource : public ResponseStream {
  public:
   LptSource(sim::Simulator* sim, tcp::TcpSender* sender,
-            std::uint64_t chunk_bytes = 1 << 20);
-
-  void run(sim::SimTime start, sim::SimTime stop);
-
-  std::uint64_t bytes_emitted() const { return bytes_emitted_; }
-
- private:
-  void emit_chunk();
-
-  sim::Simulator* sim_;
-  tcp::TcpSender* sender_;
-  std::uint64_t chunk_bytes_;
-  sim::SimTime stop_;
-  bool running_ = false;
-  std::uint64_t bytes_emitted_ = 0;
+            std::uint64_t chunk_bytes = 1 << 20)
+      : ResponseStream{sim, sender, [chunk_bytes] { return chunk_bytes; },
+                       [] { return sim::SimTime::zero(); }} {
+    if (chunk_bytes == 0) {
+      throw ConfigError{"empty chunk", "LptSource", "chunk_bytes >= 1"};
+    }
+  }
 };
 
 }  // namespace trim::http

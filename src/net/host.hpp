@@ -22,6 +22,14 @@ class Host : public Node {
 
   void register_agent(FlowId flow, Agent* agent);
   void unregister_agent(FlowId flow);
+  // Calls f(Agent&) for every registered agent, in flow-id order (the
+  // invariant checker finds the live TCP endpoints this way).
+  template <typename F>
+  void for_each_agent(F&& f) const {
+    for (Agent* a : agents_) {
+      if (a != nullptr) f(*a);
+    }
+  }
 
   // Fallback for packets whose flow has no registered agent — the
   // lifecycle scenarios attach a tcp::RstResponder here so segments for

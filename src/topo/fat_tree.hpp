@@ -14,8 +14,8 @@ namespace trim::topo {
 
 struct FatTreeConfig {
   int k = 4;  // pod count == port count; must be even, >= 2
-  std::uint64_t link_bps = 10 * net::kGbps;
-  sim::SimTime link_delay = sim::SimTime::micros(10);
+  static constexpr std::uint64_t link_bps = 10 * net::kGbps;
+  static constexpr sim::SimTime link_delay = sim::SimTime::micros(10);
   static constexpr std::uint64_t switch_buffer_bytes = 350 * 1024;  // paper: 350 KB
   std::optional<net::QueueConfig> switch_queue;
 };

@@ -36,10 +36,7 @@ TEST(InvariantChecker, CleanRunsHaveNoViolations) {
        {tcp::Protocol::kReno, tcp::Protocol::kDctcp, tcp::Protocol::kTrim}) {
     Incast inc{protocol};
     InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-    for (auto& f : inc.flows) {
-      checker.watch(*f.sender);
-      f.sender->write(300 * 1460);
-    }
+    for (auto& f : inc.flows) f.sender->write(300 * 1460);
     checker.schedule_checkpoints(sim::SimTime::millis(10),
                                  sim::SimTime::seconds(2));
     inc.world.simulator.run_until(sim::SimTime::seconds(2));
@@ -57,10 +54,7 @@ TEST(InvariantChecker, CleanRunsHaveNoViolations) {
 TEST(InvariantChecker, ConservationHoldsMidFlight) {
   Incast inc{tcp::Protocol::kReno, 5};
   InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-  for (auto& f : inc.flows) {
-    checker.watch(*f.sender);
-    f.sender->write(2000 * 1460);
-  }
+  for (auto& f : inc.flows) f.sender->write(2000 * 1460);
   // Dense grid while the bottleneck queue is full and dropping.
   checker.schedule_checkpoints(sim::SimTime::micros(500),
                                sim::SimTime::millis(50));
@@ -81,10 +75,7 @@ TEST(InvariantChecker, AttachedInjectorNeedsNoRegistration) {
   inj.attach(*inc.topo.bottleneck);
 
   InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-  for (auto& f : inc.flows) {
-    checker.watch(*f.sender);
-    f.sender->write(500 * 1460);
-  }
+  for (auto& f : inc.flows) f.sender->write(500 * 1460);
   inc.world.simulator.run_until(sim::SimTime::seconds(3));
   ASSERT_GT(inj.stats().injected_drops(), 0u);  // faults actually fired
   checker.check_now();
@@ -116,6 +107,32 @@ TEST(InvariantChecker, DestroyedInjectorsDropsAreAConservationLeak) {
   checker.check_now();
   ASSERT_EQ(checker.violations().size(), 1u);
   EXPECT_EQ(checker.violations().front().invariant, "packet-conservation");
+}
+
+// Endpoints need no registration either: the checker finds the senders and
+// receivers registered on the network's hosts. A receiver that expects a
+// handshake sits in LISTEN, so data from a sender that skips the handshake
+// breaks no-data-before-ESTABLISHED.
+TEST(InvariantChecker, FindsEndpointsOnTheirHosts) {
+  sim::CaptureLogSink capture;  // the violation is warned; keep it here
+  exp::World world;
+  topo::ManyToOneConfig cfg;
+  cfg.num_servers = 1;
+  const auto topo = build_many_to_one(world.network, cfg);
+  tcp::ReceiverConfig rcfg;
+  rcfg.expect_handshake = true;
+  auto flow = core::make_protocol_flow(world.network, *topo.servers[0], *topo.front_end,
+                                       tcp::Protocol::kReno, core::ProtocolOptions{},
+                                       rcfg);
+  ASSERT_FALSE(flow.sender->config().simulate_handshake);
+
+  InvariantChecker checker{&world.simulator, &world.network};
+  flow.sender->write(10 * 1460);
+  world.simulator.run_until(sim::SimTime::millis(10));
+  ASSERT_GT(flow.receiver->data_before_established(), 0u);
+  checker.check_now();
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().invariant, "data-before-established");
 }
 
 // Every recorded violation is warned as it is recorded, stamped with the
@@ -150,10 +167,7 @@ TEST(InvariantChecker, WatchedInjectorFaultMatrixStaysConserved) {
   inj.attach(*inc.topo.bottleneck);
 
   InvariantChecker checker{&inc.world.simulator, &inc.world.network};
-  for (auto& f : inc.flows) {
-    checker.watch(*f.sender);
-    f.sender->write(500 * 1460);
-  }
+  for (auto& f : inc.flows) f.sender->write(500 * 1460);
   checker.schedule_checkpoints(sim::SimTime::millis(5), sim::SimTime::seconds(3));
   inc.world.simulator.run_until(sim::SimTime::seconds(3));
   checker.check_now();

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
-#include "http/http_app.hpp"
 #include "http/lpt_source.hpp"
-#include "http/onoff_source.hpp"
+#include "http/response_stream.hpp"
 #include "http/train_analyzer.hpp"
 #include "http/train_workload.hpp"
 #include "topo/many_to_one.hpp"
@@ -107,7 +108,7 @@ TEST(TrainAnalyzer, RejectsOutOfOrderAndLateObserve) {
   EXPECT_THROW(TrainAnalyzer{sim::SimTime::zero()}, std::invalid_argument);
 }
 
-// ---------- apps over a real network ----------
+// ---------- response streams over a real network ----------
 
 struct AppWorld {
   AppWorld() {
@@ -117,33 +118,154 @@ struct AppWorld {
     flow = core::make_protocol_flow(world.network, *topo.servers[0], *topo.front_end,
                                     tcp::Protocol::kReno, core::ProtocolOptions{});
   }
+  const stats::FlowStats& stats() const { return flow.sender->stats(); }
+
   exp::World world;
   topo::ManyToOne topo;
   tcp::Flow flow;
 };
 
-TEST(HttpResponseApp, SchedulesAndCompletesResponses) {
+// Samplers that log each draw: 'S' for a size, 'G' for a gap.
+struct DrawLog {
+  ResponseStream make(AppWorld& w, std::uint64_t bytes, sim::SimTime gap) {
+    return ResponseStream{&w.world.simulator, w.flow.sender.get(),
+                          [this, bytes] {
+                            draws += 'S';
+                            return bytes;
+                          },
+                          [this, gap] {
+                            draws += 'G';
+                            return gap;
+                          }};
+  }
+  std::string draws;
+};
+
+TEST(ResponseStream, CountedStreamDrawsNoGapAfterItsLastMessage) {
   AppWorld w;
-  HttpResponseApp app{&w.world.simulator, w.flow.sender.get()};
-  app.schedule_response(sim::SimTime::millis(1), 5000);
-  app.schedule_response(sim::SimTime::millis(2), 7000);
+  DrawLog log;
+  auto stream = log.make(w, 5000, sim::SimTime::millis(1));
+  stream.run(sim::SimTime::millis(1), sim::SimTime::max(), 4);
   w.world.simulator.run_until(sim::SimTime::seconds(1));
-  EXPECT_EQ(app.scheduled(), 2u);
-  EXPECT_EQ(app.completed(), 2u);
-  const auto summary = app.completion_summary_ms();
-  EXPECT_EQ(summary.count(), 2u);
-  EXPECT_LT(summary.max(), 5.0);  // small responses on an idle gigabit path
+  EXPECT_EQ(log.draws, "SGSGSGS");
+  EXPECT_EQ(w.stats().messages().size(), 4u);
+  EXPECT_EQ(w.stats().incomplete_messages(), 0u);
 }
 
-TEST(OnOffSource, ClosedLoopSerializesTrains) {
+TEST(ResponseStream, StoppedStreamDrawsOneGapAfterEachMessage) {
   AppWorld w;
-  OnOffSource source{&w.world.simulator, w.flow.sender.get(),
-                     TrainWorkload{sim::Rng{4}}};
-  source.run(sim::SimTime::millis(1), sim::SimTime::millis(100));
+  DrawLog log;
+  auto stream = log.make(w, 5000, sim::SimTime::millis(1));
+  stream.run(sim::SimTime::millis(1), sim::SimTime::millis(10));
+  w.world.simulator.run_until(sim::SimTime::seconds(1));
+  const std::size_t n = w.stats().messages().size();
+  ASSERT_GE(n, 3u);
+  std::string expected;
+  for (std::size_t i = 0; i < n; ++i) expected += "SG";
+  EXPECT_EQ(log.draws, expected);
+  // The gap drawn after the last completion would start a message at or
+  // after the stop.
+  const auto& last = w.stats().messages().back();
+  ASSERT_TRUE(last.done());
+  EXPECT_GE(*last.completed + sim::SimTime::millis(1), sim::SimTime::millis(10));
+  for (const auto& m : w.stats().messages()) EXPECT_LT(m.start, sim::SimTime::millis(10));
+}
+
+TEST(ResponseStream, FixedGapStartsOneGapAfterCompletion) {
+  AppWorld w;
+  const auto gap = sim::SimTime::micros(700);
+  ResponseStream stream{&w.world.simulator, w.flow.sender.get(),
+                        [] { return std::uint64_t{20 * 1460}; }, [gap] { return gap; }};
+  stream.run(sim::SimTime::millis(2), sim::SimTime::max(), 10);
+  w.world.simulator.run_until(sim::SimTime::seconds(1));
+  const auto& msgs = w.stats().messages();
+  ASSERT_EQ(msgs.size(), 10u);
+  EXPECT_EQ(msgs[0].start, sim::SimTime::millis(2));
+  for (std::size_t i = 1; i < msgs.size(); ++i) {
+    ASSERT_TRUE(msgs[i - 1].done());
+    EXPECT_EQ(msgs[i].start, *msgs[i - 1].completed + gap);
+  }
+}
+
+// A zero gap writes inside the completion callback, as a hand-rolled
+// backlogged loop does: the same world dispatches exactly the same events.
+TEST(ResponseStream, ZeroGapDispatchesNoEventOfItsOwn) {
+  const std::uint64_t bytes = 64 * 1024;
+  const int count = 20;
+
+  AppWorld streamed;
+  ResponseStream stream{&streamed.world.simulator, streamed.flow.sender.get(),
+                        [bytes] { return bytes; }, [] { return sim::SimTime::zero(); }};
+  stream.run(sim::SimTime::millis(1), sim::SimTime::max(), count);
+  streamed.world.simulator.run_until(sim::SimTime::seconds(1));
+
+  AppWorld inline_loop;
+  tcp::TcpSender* sender = inline_loop.flow.sender.get();
+  int written = 0;
+  sender->add_message_complete_callback([&](std::uint64_t, sim::SimTime) {
+    if (written < count) {
+      ++written;
+      sender->write(bytes);
+    }
+  });
+  inline_loop.world.simulator.schedule_at(sim::SimTime::millis(1), [&] {
+    ++written;
+    sender->write(bytes);
+  });
+  inline_loop.world.simulator.run_until(sim::SimTime::seconds(1));
+
+  EXPECT_EQ(streamed.stats().messages().size(), static_cast<std::size_t>(count));
+  EXPECT_EQ(streamed.world.simulator.events_dispatched(),
+            inline_loop.world.simulator.events_dispatched());
+  EXPECT_EQ(streamed.stats().completed_message_times(),
+            inline_loop.stats().completed_message_times());
+}
+
+TEST(ResponseStream, StopAndCountEachEndTheStream) {
+  AppWorld counted;
+  ResponseStream by_count{&counted.world.simulator, counted.flow.sender.get(),
+                          [] { return std::uint64_t{3000}; },
+                          [] { return sim::SimTime::millis(2); }};
+  by_count.run(sim::SimTime::millis(1), sim::SimTime::max(), 5);
+  counted.world.simulator.run_until(sim::SimTime::seconds(1));
+  EXPECT_EQ(counted.stats().messages().size(), 5u);
+
+  AppWorld stopped;
+  ResponseStream by_stop{&stopped.world.simulator, stopped.flow.sender.get(),
+                         [] { return std::uint64_t{3000}; },
+                         [] { return sim::SimTime::millis(2); }};
+  by_stop.run(sim::SimTime::millis(1), sim::SimTime::millis(20));
+  stopped.world.simulator.run_until(sim::SimTime::seconds(1));
+  const auto& msgs = stopped.stats().messages();
+  ASSERT_GE(msgs.size(), 5u);
+  EXPECT_LT(msgs.size(), 10u);  // each message is followed by a 2 ms gap
+  EXPECT_LT(msgs.back().start, sim::SimTime::millis(20));
+  EXPECT_EQ(stopped.stats().incomplete_messages(), 0u);
+}
+
+TEST(ResponseStream, RejectsEmptyStreamsAndASecondRun) {
+  AppWorld w;
+  ResponseStream stream{&w.world.simulator, w.flow.sender.get(),
+                        [] { return std::uint64_t{1000}; },
+                        [] { return sim::SimTime::millis(1); }};
+  EXPECT_THROW(stream.run(sim::SimTime::millis(5), sim::SimTime::millis(5)), ConfigError);
+  EXPECT_THROW(stream.run(sim::SimTime::millis(5), sim::SimTime::millis(4)), ConfigError);
+  EXPECT_THROW(stream.run(sim::SimTime::millis(1), sim::SimTime::max(), 0), ConfigError);
+  stream.run(sim::SimTime::millis(1), sim::SimTime::millis(2));
+  EXPECT_THROW(stream.run(sim::SimTime::millis(3), sim::SimTime::millis(4)), ConfigError);
+}
+
+TEST(ResponseStream, ClosedLoopSerializesTrains) {
+  AppWorld w;
+  TrainWorkload workload{sim::Rng{4}};
+  ResponseStream stream{&w.world.simulator, w.flow.sender.get(),
+                        [&workload] { return workload.sample_train_bytes(); },
+                        [&workload] { return workload.sample_gap(); }};
+  stream.run(sim::SimTime::millis(1), sim::SimTime::millis(100));
   w.world.simulator.run_until(sim::SimTime::seconds(2));
-  EXPECT_GT(source.trains_emitted(), 3u);
+  EXPECT_GT(w.stats().messages().size(), 3u);
   EXPECT_TRUE(w.flow.sender->idle());
-  EXPECT_EQ(w.flow.sender->stats().incomplete_messages(), 0u);
+  EXPECT_EQ(w.stats().incomplete_messages(), 0u);
 }
 
 TEST(LptSource, KeepsConnectionBackloggedUntilStop) {
@@ -153,8 +275,8 @@ TEST(LptSource, KeepsConnectionBackloggedUntilStop) {
   w.world.simulator.run_until(sim::SimTime::seconds(2));
   EXPECT_TRUE(w.flow.sender->idle());
   // ~1 Gbps for ~49 ms is several MB.
-  EXPECT_GT(source.bytes_emitted(), 2'000'000u);
-  EXPECT_EQ(w.flow.receiver->delivered_bytes(), source.bytes_emitted());
+  EXPECT_GT(w.flow.sender->bytes_written(), 2'000'000u);
+  EXPECT_EQ(w.flow.receiver->delivered_bytes(), w.flow.sender->bytes_written());
 }
 
 TEST(LptSource, CannotRunTwice) {
@@ -162,7 +284,7 @@ TEST(LptSource, CannotRunTwice) {
   LptSource source{&w.world.simulator, w.flow.sender.get()};
   source.run(sim::SimTime::millis(1), sim::SimTime::millis(2));
   EXPECT_THROW(source.run(sim::SimTime::millis(3), sim::SimTime::millis(4)),
-               std::logic_error);
+               ConfigError);
 }
 
 }  // namespace
