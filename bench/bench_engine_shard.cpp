@@ -31,26 +31,19 @@ namespace {
 using namespace trim;
 
 struct Cell {
-  int shards = 1;
   double events_per_sec = 0.0;   // best of trials
   std::uint64_t events = 0;
-  double run_wall_s = 0.0;       // of the best trial
   double act_ms = 0.0;           // scenario-level sanity metric
-  // Shard-execution telemetry (of the best trial; zero on the serial path).
-  std::uint64_t windows = 0;
-  std::uint64_t windows_skipped = 0;
-  double events_imbalance = 0.0;       // busiest shard / mean
-  std::vector<double> shard_stall_s;   // [shard] barrier-stall wall time
-  std::vector<std::uint64_t> shard_events;  // [shard] windowed dispatches
+  sim::EngineRun run;            // of the best trial
 
   // Summed barrier-stall over every shard-second of elapsed wall time:
   // the fraction of the fleet's run spent synchronizing instead of
   // simulating (0 on the serial path).
   double stall_fraction() const {
-    if (run_wall_s <= 0.0 || shards <= 0) return 0.0;
+    if (run.run_wall_s <= 0.0 || run.shards <= 0) return 0.0;
     double stall = 0.0;
-    for (const double s : shard_stall_s) stall += s;
-    return stall / (static_cast<double>(shards) * run_wall_s);
+    for (const double s : run.shard_stall_s) stall += s;
+    return stall / (static_cast<double>(run.shards) * run.run_wall_s);
   }
 };
 
@@ -79,20 +72,15 @@ exp::FattreeConfig fig12_config(int shards, bool quick) {
 template <typename Result, typename Run>
 Cell measure(int shards, int trials, Run run, double Result::* act) {
   Cell cell;
-  cell.shards = shards;
+  cell.run.shards = shards;
   for (int t = 0; t < trials; ++t) {
     const Result r = run(shards);
-    const double eps =
-        r.run_wall_s > 0.0 ? static_cast<double>(r.events_dispatched) / r.run_wall_s : 0.0;
+    const double wall = r.engine.run_wall_s;
+    const double eps = wall > 0.0 ? static_cast<double>(r.events_dispatched) / wall : 0.0;
     if (eps > cell.events_per_sec) {
       cell.events_per_sec = eps;
       cell.events = r.events_dispatched;
-      cell.run_wall_s = r.run_wall_s;
-      cell.windows = r.windows;
-      cell.windows_skipped = r.windows_skipped;
-      cell.events_imbalance = r.events_imbalance;
-      cell.shard_stall_s = r.shard_stall_s;
-      cell.shard_events = r.shard_events;
+      cell.run = r.engine;
     }
     cell.act_ms = r.*act;
   }
@@ -129,12 +117,12 @@ void print_curve(const char* title, const std::vector<Cell>& cells,
   for (const auto& c : cells) {
     std::printf(
         "  %-7d %13.0f %10.3f %8.2fx %8llu %8llu %10.0f %8.2f %11.4f\n",
-        c.shards, c.events_per_sec, c.run_wall_s,
+        c.run.shards, c.events_per_sec, c.run.run_wall_s,
         serial > 0.0 ? c.events_per_sec / serial : 0.0,
-        static_cast<unsigned long long>(c.windows),
-        static_cast<unsigned long long>(c.windows_skipped),
-        sim_seconds > 0.0 ? static_cast<double>(c.windows) / sim_seconds : 0.0,
-        c.events_imbalance, c.stall_fraction());
+        static_cast<unsigned long long>(c.run.windows),
+        static_cast<unsigned long long>(c.run.windows_skipped),
+        sim_seconds > 0.0 ? static_cast<double>(c.run.windows) / sim_seconds : 0.0,
+        c.run.events_imbalance, c.stall_fraction());
   }
 }
 
@@ -147,26 +135,27 @@ void report_curve(obs::RunReport& report, const std::string& prefix,
                   const char* act_name) {
   const double serial_eps = cells.front().events_per_sec;
   for (const auto& c : cells) {
-    const std::string scenario = prefix + "_matrix_shards_" + std::to_string(c.shards);
+    const auto& run = c.run;
+    const std::string scenario = prefix + "_matrix_shards_" + std::to_string(run.shards);
     std::vector<std::pair<std::string, double>> row{
-        {"shards", static_cast<double>(c.shards)},
+        {"shards", static_cast<double>(run.shards)},
         {"events", static_cast<double>(c.events)},
         {act_name, c.act_ms},
-        {"windows", static_cast<double>(c.windows)},
-        {"windows_skipped", static_cast<double>(c.windows_skipped)},
+        {"windows", static_cast<double>(run.windows)},
+        {"windows_skipped", static_cast<double>(run.windows_skipped)},
         {"windows_per_sim_s",
-         sim_seconds > 0.0 ? static_cast<double>(c.windows) / sim_seconds : 0.0},
-        {"events_imbalance", c.events_imbalance},
+         sim_seconds > 0.0 ? static_cast<double>(run.windows) / sim_seconds : 0.0},
+        {"events_imbalance", run.events_imbalance},
     };
     std::vector<std::pair<std::string, double>> perf{
-        {"run_wall_s", c.run_wall_s},
+        {"run_wall_s", run.run_wall_s},
         {"speedup_vs_serial", serial_eps > 0.0 ? c.events_per_sec / serial_eps : 0.0},
         {"stall_fraction", c.stall_fraction()},
     };
-    for (std::size_t i = 0; i < c.shard_events.size(); ++i) {
+    for (std::size_t i = 0; i < run.shard_events.size(); ++i) {
       row.emplace_back("events_" + std::to_string(i),
-                       static_cast<double>(c.shard_events[i]));
-      perf.emplace_back("stall_s_" + std::to_string(i), c.shard_stall_s[i]);
+                       static_cast<double>(run.shard_events[i]));
+      perf.emplace_back("stall_s_" + std::to_string(i), run.shard_stall_s[i]);
     }
     report.add_row(scenario, std::move(row));
     report.add_perf(scenario, c.events_per_sec, std::move(perf));

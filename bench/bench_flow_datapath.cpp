@@ -91,53 +91,38 @@ void bench_ack_processing(obs::RunReport& report) {
 
   std::vector<double> rates;
   double acked = 0.0;
-  std::size_t state_bytes = 0;
   for (int r = 0; r < reps; ++r) {
     BackToBack b2b{kMsgBytes};
     const double wall = b2b.run(kMessages);
     acked = static_cast<double>(b2b.sender.stats().acked_segments);
-    state_bytes = b2b.sender.datapath_state_bytes();
     rates.push_back(acked / wall);
   }
   std::sort(rates.begin(), rates.end());
   const double median = rates[rates.size() / 2];
 
   std::printf("ack_processing:   %10.0f acked segs/s  (median of %d, min %.0f, max %.0f; "
-              "%d msgs, state %zu B)\n",
-              median, reps, rates.front(), rates.back(), kMessages, state_bytes);
+              "%d msgs)\n",
+              median, reps, rates.front(), rates.back(), kMessages);
   report.add_perf("ack_processing", median,
                   {{"messages", static_cast<double>(kMessages)},
                    {"segments_acked", acked},
-                   {"sender_state_bytes", static_cast<double>(state_bytes)},
                    {"min", rates.front()},
                    {"max", rates.back()}});
 }
 
-// Sender accounting memory: one flow streams ~1 GB as LPT-style 512 KB
-// messages (at most one outstanding). Per-flow accounting bytes must stay
-// flat as the stream grows — this is the O(outstanding messages) claim.
+// Sender throughput on a long stream: one flow streams ~1 GB as LPT-style
+// 512 KB messages (at most one outstanding). That the accounting stays
+// O(outstanding messages) is pinned by tests/mem/ring_buffer_test.cpp
+// (the capacity stops growing) and the zero-allocation gate.
 void bench_sender_memory(obs::RunReport& report) {
   const int kMessages = 2048;
   const std::uint64_t kMsgBytes = 512 * 1024 + 300;  // short tail
   BackToBack b2b{kMsgBytes};
-  auto& sender = b2b.sender;
-  // Registered before the stream's callback, so it reads the state before
-  // the next message is written.
-  std::size_t state_mid = 0;
-  sender.add_message_complete_callback([&](std::uint64_t msg_id, sim::SimTime) {
-    if (msg_id + 1 == kMessages / 2) state_mid = sender.datapath_state_bytes();
-  });
   const double wall = b2b.run(kMessages);
 
-  const double mb = static_cast<double>(sender.bytes_written()) / (1024.0 * 1024.0);
-  const auto state_end = sender.datapath_state_bytes();
-  std::printf("sender_memory:    %10.1f MB/s          (%.0f MB stream, state %zu B mid, %zu B end, %.2f B/MB)\n",
-              mb / wall, mb, state_mid, state_end, static_cast<double>(state_end) / mb);
-  report.add_perf("sender_memory", mb / wall,
-                  {{"stream_mb", mb},
-                   {"state_bytes_mid", static_cast<double>(state_mid)},
-                   {"state_bytes_end", static_cast<double>(state_end)},
-                   {"state_bytes_per_mb", static_cast<double>(state_end) / mb}});
+  const double mb = static_cast<double>(b2b.sender.bytes_written()) / (1024.0 * 1024.0);
+  std::printf("sender_memory:    %10.1f MB/s          (%.0f MB stream)\n", mb / wall, mb);
+  report.add_perf("sender_memory", mb / wall, {{"stream_mb", mb}});
 }
 
 // Reassembly churn: the receiver absorbs rounds of a 64-segment window

@@ -1,15 +1,13 @@
 #include "exp/connection_storm_scenario.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "http/short_connections.hpp"
 #include "obs/events.hpp"
 #include "sim/random.hpp"
-#include "tcp/rst_responder.hpp"
 #include "topo/two_tier.hpp"
 
 namespace trim::exp {
@@ -38,25 +36,6 @@ void validate(const ConnectionStormConfig& cfg) {
   fault::validate(cfg.bottleneck_fault);
 }
 
-namespace {
-
-// One live connection of the storm. Endpoints are reaped (destroyed) once
-// both sides reach a terminal state; the struct stays so the final
-// accounting still sees every connection.
-struct Conn {
-  tcp::Flow flow;
-  int client = 0;
-  int port = 0;
-  bool sender_closed = false;
-  bool sender_graceful = false;
-  bool receiver_closed = false;
-  bool reaped = false;
-  tcp::LifecycleStats sender_stats;    // snapshot taken at reap time
-  tcp::LifecycleStats receiver_stats;
-};
-
-}  // namespace
-
 ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   validate(cfg);
   World world{cfg.shards};
@@ -82,10 +61,11 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
 
   InvariantScope inv{world, cfg.run_until};
 
-  // Shared server-side SYN backlog, and one ephemeral-port allocator per
-  // client host.
-  tcp::ListenQueue backlog{cfg.backlog};
-  inv.watch(backlog);
+  auto opts = default_options(cfg.protocol, topo_cfg.edge_bps, cfg.min_rto);
+  opts.tcp.max_rto = cfg.max_rto;
+  http::ShortConnections conns{world.network, *topo.front_end, clients, cfg.protocol,
+                               opts, cfg.backlog, cfg.lifecycle};
+  inv.watch(conns.backlog());
   std::vector<std::unique_ptr<tcp::PortAllocator>> ports;
   ports.reserve(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -94,55 +74,7 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
     ports.back()->set_telemetry_subject(obs::subject_id(clients[i]->name()));
   }
 
-  // Closed-port behavior for straggler segments of reaped connections.
-  std::vector<std::unique_ptr<tcp::RstResponder>> responders;
-  responders.push_back(std::make_unique<tcp::RstResponder>(topo.front_end));
-  topo.front_end->set_default_agent(responders.back().get());
-  for (net::Host* c : clients) {
-    responders.push_back(std::make_unique<tcp::RstResponder>(c));
-    c->set_default_agent(responders.back().get());
-  }
-
-  auto opts = default_options(cfg.protocol, topo_cfg.edge_bps, cfg.min_rto);
-  opts.tcp.max_rto = cfg.max_rto;
-  opts.tcp.simulate_handshake = true;
-  opts.tcp.lifecycle = cfg.lifecycle;
-  tcp::ReceiverConfig rcfg;
-  rcfg.expect_handshake = true;
-  rcfg.lifecycle = cfg.lifecycle;
-
   ConnectionStormResult result;
-  std::vector<std::unique_ptr<Conn>> conns;
-  conns.reserve(static_cast<std::size_t>(cfg.connections_total));
-
-  // Reap a connection once both endpoints are terminal: snapshot the
-  // lifecycle stats, return the ephemeral port (immediately after a
-  // graceful close — the sender's own TIME_WAIT already dwelled — or with
-  // an allocator-enforced hold after an abort), and destroy the endpoints.
-  // Deferred to a zero-delay event: the trigger is a callback running
-  // inside the endpoint being destroyed.
-  auto maybe_reap = [&](Conn* c) {
-    if (c->reaped || !c->sender_closed) return;
-    // A passive endpoint still in LISTEN after the sender is done never
-    // had a server-side connection at all (the backlog refused or the SYN
-    // never landed before give-up): that flow is drained, not stuck.
-    if (!c->receiver_closed &&
-        c->flow.receiver->conn_state() != tcp::ConnState::kListen) {
-      return;
-    }
-    c->reaped = true;
-    world.simulator.schedule(sim::SimTime::zero(), [&, c] {
-      c->sender_stats = c->flow.sender->lifecycle_stats();
-      c->receiver_stats = c->flow.receiver->lifecycle_stats();
-      if (c->sender_graceful) {
-        ports[c->client]->release(c->port);
-      } else {
-        ports[c->client]->release_with_hold(c->port, cfg.lifecycle.time_wait);
-      }
-      c->flow.sender.reset();
-      c->flow.receiver.reset();
-    });
-  };
 
   // The storm schedule: Poisson arrivals onto uniformly random clients,
   // all drawn now from one stream so the schedule never depends on how
@@ -163,27 +95,17 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
         return;
       }
       ++result.connections_attempted;
-      auto conn = std::make_unique<Conn>();
-      conn->client = static_cast<int>(client);
-      conn->port = *port;
-      conn->flow = core::make_protocol_flow(world.network, *clients[client],
-                                            *topo.front_end, cfg.protocol, opts,
-                                            rcfg);
-      conn->flow.receiver->set_listen_queue(&backlog);
-      Conn* c = conn.get();
-      c->flow.sender->add_closed_callback([&, c](bool graceful, sim::SimTime) {
-        c->sender_closed = true;
-        c->sender_graceful = graceful;
-        maybe_reap(c);
-      });
-      c->flow.receiver->add_closed_callback([&, c](bool, sim::SimTime) {
-        c->receiver_closed = true;
-        maybe_reap(c);
-      });
-      c->flow.sender->connect();
-      c->flow.sender->write(cfg.request_bytes);
-      c->flow.sender->close();  // FIN follows the last acked byte
-      conns.push_back(std::move(conn));
+      // The reaped connection's port comes back at once after a graceful
+      // close (the sender's own TIME_WAIT already dwelled), with an
+      // allocator-enforced hold after an abort.
+      conns.open(client, cfg.request_bytes,
+                 [&, client, p = *port](const http::ShortConnections::Connection& c) {
+                   if (c.stats().sender.graceful_close) {
+                     ports[client]->release(p);
+                   } else {
+                     ports[client]->release_with_hold(p, cfg.lifecycle.time_wait);
+                   }
+                 });
     });
     at += rng.exponential_time(mean_gap);
   }
@@ -198,37 +120,34 @@ ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   // benches share one percentile path (obs::percentiles).
   obs::Histogram* setup_ms =
       world.telemetry.registry().histogram("conn.setup_ms", 0.0, 500.0, 250);
-  for (const auto& c : conns) {
-    if (!c->reaped) {
+  for (const auto& c : conns.connections()) {
+    if (!c.reaped) {
       ++result.stuck_connections;
       if (inv.checker() != nullptr) {
         inv.checker()->report(
             "connection-drain",
-            "flow " + std::to_string(c->flow.id) + " not CLOSED by deadline: "
-                "sender " + tcp::to_string(c->flow.sender->conn_state()) +
-                ", receiver " + tcp::to_string(c->flow.receiver->conn_state()));
+            "flow " + std::to_string(c.flow.id) + " not CLOSED by deadline: "
+                "sender " + tcp::to_string(c.flow.sender->conn_state()) +
+                ", receiver " + tcp::to_string(c.flow.receiver->conn_state()));
       }
-      c->sender_stats = c->flow.sender->lifecycle_stats();
-      c->receiver_stats = c->flow.receiver->lifecycle_stats();
     }
-    if (c->sender_stats.ever_established) {
+    const auto s = c.stats();
+    if (s.sender.ever_established) {
       ++result.connections_established;
-      result.setup_latency_s.push_back(c->sender_stats.setup_latency.to_seconds());
-      setup_ms->observe(c->sender_stats.setup_latency.to_millis());
+      result.setup_latency_s.push_back(s.sender.setup_latency.to_seconds());
+      setup_ms->observe(s.sender.setup_latency.to_millis());
     }
-    if (c->sender_closed) {
-      if (c->sender_graceful) ++result.graceful_closes;
+    if (c.sender_closed()) {
+      if (s.sender.graceful_close) ++result.graceful_closes;
       else ++result.aborted_closes;
     }
-    result.syn_retx += c->sender_stats.syn_retx + c->receiver_stats.synack_retx;
-    result.fin_retx += c->sender_stats.fin_retx + c->receiver_stats.fin_retx;
-    result.rst_sent += c->sender_stats.rst_sent + c->receiver_stats.rst_sent;
-    result.rst_received +=
-        c->sender_stats.rst_received + c->receiver_stats.rst_received;
-    result.challenge_acks +=
-        c->sender_stats.challenge_acks + c->receiver_stats.challenge_acks;
+    result.syn_retx += s.sender.syn_retx + s.receiver.synack_retx;
+    result.fin_retx += s.sender.fin_retx + s.receiver.fin_retx;
+    result.rst_sent += s.sender.rst_sent + s.receiver.rst_sent;
+    result.rst_received += s.sender.rst_received + s.receiver.rst_received;
+    result.challenge_acks += s.sender.challenge_acks + s.receiver.challenge_acks;
   }
-  result.backlog = backlog.stats();
+  result.backlog = conns.backlog().stats();
   for (const auto& p : ports) {
     result.ports.allocations += p->stats().allocations;
     result.ports.failed_allocations += p->stats().failed_allocations;

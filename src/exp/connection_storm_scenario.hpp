@@ -13,8 +13,8 @@
 // or is explicitly reported stuck by the drain deadline.
 //
 // Torn-down endpoints are destroyed mid-run (the storm is a churn
-// workload); a tcp::RstResponder on every host answers straggler segments
-// for dead flows with RST, exactly like a real stack's closed-port path.
+// workload, run on http::ShortConnections): straggler segments for dead
+// flows draw a RST, exactly like a real stack's closed-port path.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ struct ConnectionStormResult {
   std::uint64_t stuck_connections = 0;       // not CLOSED by run_until
 
   // Setup latency (SYN sent -> ESTABLISHED) per established connection,
-  // seconds, in completion order.
+  // seconds, in open order.
   std::vector<double> setup_latency_s;
 
   tcp::ListenQueue::Stats backlog;

@@ -99,16 +99,7 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
   result.drops = world.network.total_drops();
   result.telemetry = world.telemetry_snapshot();
   result.events_dispatched = world.engine.events_dispatched();
-  result.run_wall_s = static_cast<double>(world.engine.elapsed_wall_ns()) * 1e-9;
-  result.shards = world.shard_count();
-  result.windows = world.engine.windows_run();
-  result.windows_skipped = world.engine.windows_skipped();
-  result.events_imbalance = world.engine.events_imbalance();
-  for (int i = 0; i < world.shard_count(); ++i) {
-    const auto& st = world.engine.shard_stats(i);
-    result.shard_stall_s.push_back(static_cast<double>(st.stall_wall_ns) * 1e-9);
-    result.shard_events.push_back(st.window_events);
-  }
+  result.engine = world.engine.run_record();
   return result;
 }
 

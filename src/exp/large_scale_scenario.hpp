@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "sim/sched_types.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/time.hpp"
 #include "tcp/tcp_common.hpp"
 
@@ -44,20 +44,9 @@ struct LargeScaleResult {
   std::uint64_t drops = 0;
 
   // Engine accounting for the scaling bench: total events across shards,
-  // elapsed wall-clock of the engine run, shards actually used.
+  // and what the engine's runs did.
   std::uint64_t events_dispatched = 0;
-  double run_wall_s = 0.0;
-  int shards = 1;
-
-  // Shard-execution telemetry (all zero / empty on the serial path).
-  // windows/imbalance/shard_events are deterministic; shard_stall_s is
-  // wall-clock (barrier wait per shard) and must stay out of any
-  // deterministic report section.
-  std::uint64_t windows = 0;
-  std::uint64_t windows_skipped = 0;   // idle-shard fast-path windows (fleet)
-  double events_imbalance = 0.0;       // busiest shard / mean (>= 1 when run)
-  std::vector<double> shard_stall_s;   // [shard] barrier-stall wall time
-  std::vector<std::uint64_t> shard_events;  // [shard] windowed dispatches
+  sim::EngineRun engine;
 
   // Deterministic run telemetry (metrics + event counts).
   obs::TelemetrySnapshot telemetry;

@@ -2,13 +2,14 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "http/response_stream.hpp"
-#include "tcp/rst_responder.hpp"
+#include "http/short_connections.hpp"
 #include "topo/many_to_one.hpp"
 
 namespace trim::exp {
@@ -50,118 +51,46 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
 
   InvariantScope inv{world, cfg.run_until};
 
-  auto opts = default_options(cfg.protocol, topo_cfg.link_bps, cfg.min_rto);
-  if (cfg.churn) {
-    opts.tcp.simulate_handshake = true;
-    opts.tcp.lifecycle = cfg.lifecycle;
-  }
+  const auto opts = default_options(cfg.protocol, topo_cfg.link_bps, cfg.min_rto);
 
   // Persistent mode: one long-lived flow per server.
   std::vector<tcp::Flow> flows;
   std::vector<std::unique_ptr<http::ResponseStream>> streams;
 
   // Churn mode: each server runs its messages serially, one fresh
-  // connection per message, reaping the endpoints once both reach a
-  // terminal state (exactly like run_connection_storm).
-  struct ChurnServer {
-    int remaining = 0;  // messages not yet started
-    std::uint64_t opened = 0;
-    std::uint64_t graceful = 0;
-    std::uint64_t aborted = 0;
-    std::uint64_t acked_bytes = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t syn_retx = 0;
-    std::uint64_t fin_retx = 0;
-    std::uint64_t rst_sent = 0;
-    bool sender_done = false;
-    bool receiver_done = false;
-    bool reaped = false;
-    tcp::Flow live;
+  // connection per message; the next opens `message_gap` after the
+  // previous one is reaped.
+  const auto num_servers = static_cast<std::size_t>(cfg.num_servers);
+  std::optional<http::ShortConnections> churn;
+  std::vector<int> remaining;  // [server] messages not yet started
+  std::vector<const http::ShortConnections::Connection*> current;  // [server]
+  std::function<void(std::size_t)> open_next;
+  // Same histogram the storm scenario fills, so benches pull churn setup
+  // percentiles through the one obs::percentiles path.
+  auto observe_setup = [&](const http::ShortConnections::Stats& s) {
+    if (s.sender.ever_established) {
+      world.telemetry.registry()
+          .histogram("conn.setup_ms", 0.0, 500.0, 250)
+          ->observe(s.sender.setup_latency.to_millis());
+    }
   };
-  std::vector<ChurnServer> churn;
-  std::unique_ptr<tcp::ListenQueue> backlog;
-  std::vector<std::unique_ptr<tcp::RstResponder>> responders;
-  std::function<void(int)> open_next;
 
   if (cfg.churn) {
-    churn.resize(static_cast<std::size_t>(cfg.num_servers));
-    backlog = std::make_unique<tcp::ListenQueue>(cfg.churn_backlog);
-    inv.watch(*backlog);
-    responders.push_back(std::make_unique<tcp::RstResponder>(topo.front_end));
-    topo.front_end->set_default_agent(responders.back().get());
-    for (int i = 0; i < cfg.num_servers; ++i) {
-      responders.push_back(std::make_unique<tcp::RstResponder>(topo.servers[i]));
-      topo.servers[i]->set_default_agent(responders.back().get());
-    }
-
-    tcp::ReceiverConfig rcfg;
-    rcfg.expect_handshake = true;
-    rcfg.lifecycle = cfg.lifecycle;
-
-    // Accumulate the finished connection's stats, free the endpoints, and
-    // (via the zero-delay hop — the trigger is a callback inside the
-    // endpoint being destroyed) start the next message after the gap.
-    auto maybe_reap = [&](int i) {
-      auto& s = churn[static_cast<std::size_t>(i)];
-      if (s.reaped || !s.sender_done) return;
-      if (!s.receiver_done &&
-          s.live.receiver->conn_state() != tcp::ConnState::kListen) {
-        return;  // still holding a backlog slot; its own close reaps it
-      }
-      s.reaped = true;
-      world.simulator.schedule(sim::SimTime::zero(), [&, i] {
-        auto& sv = churn[static_cast<std::size_t>(i)];
-        sv.acked_bytes += sv.live.sender->bytes_acked();
-        sv.timeouts += sv.live.sender->stats().timeouts;
-        sv.retransmits += sv.live.sender->stats().retransmitted_packets;
-        const auto& ls = sv.live.sender->lifecycle_stats();
-        const auto& lr = sv.live.receiver->lifecycle_stats();
-        if (ls.ever_established) {
-          // Same histogram the storm scenario fills, so benches pull
-          // churn setup percentiles through the one obs::percentiles path.
-          world.telemetry.registry()
-              .histogram("conn.setup_ms", 0.0, 500.0, 250)
-              ->observe(ls.setup_latency.to_millis());
-        }
-        sv.syn_retx += ls.syn_retx + lr.synack_retx;
-        sv.fin_retx += ls.fin_retx + lr.fin_retx;
-        sv.rst_sent += ls.rst_sent + lr.rst_sent;
-        sv.live.sender.reset();
-        sv.live.receiver.reset();
-        if (sv.remaining > 0) {
+    churn.emplace(world.network, *topo.front_end, topo.servers, cfg.protocol, opts,
+                  cfg.churn_backlog, cfg.lifecycle);
+    inv.watch(churn->backlog());
+    remaining.assign(num_servers, cfg.messages_per_server);
+    current.resize(num_servers);
+    open_next = [&](std::size_t i) {
+      --remaining[i];
+      current[i] = &churn->open(i, cfg.message_bytes, [&, i](const auto& c) {
+        observe_setup(c.stats());
+        if (remaining[i] > 0) {
           world.simulator.schedule(cfg.message_gap, [&, i] { open_next(i); });
         }
       });
     };
-
-    open_next = [&, rcfg, maybe_reap](int i) {
-      auto& s = churn[static_cast<std::size_t>(i)];
-      if (s.remaining <= 0) return;
-      --s.remaining;
-      ++s.opened;
-      s.sender_done = s.receiver_done = s.reaped = false;
-      s.live = core::make_protocol_flow(world.network, *topo.servers[i],
-                                        *topo.front_end, cfg.protocol, opts, rcfg);
-      s.live.receiver->set_listen_queue(backlog.get());
-      s.live.sender->add_closed_callback([&, i, maybe_reap](bool graceful,
-                                                            sim::SimTime) {
-        auto& sv = churn[static_cast<std::size_t>(i)];
-        sv.sender_done = true;
-        (graceful ? sv.graceful : sv.aborted) += 1;
-        maybe_reap(i);
-      });
-      s.live.receiver->add_closed_callback([&, i, maybe_reap](bool, sim::SimTime) {
-        churn[static_cast<std::size_t>(i)].receiver_done = true;
-        maybe_reap(i);
-      });
-      s.live.sender->connect();
-      s.live.sender->write(cfg.message_bytes);
-      s.live.sender->close();  // FIN follows the last acked byte
-    };
-
-    for (int i = 0; i < cfg.num_servers; ++i) {
-      churn[static_cast<std::size_t>(i)].remaining = cfg.messages_per_server;
+    for (std::size_t i = 0; i < num_servers; ++i) {
       world.simulator.schedule_at(cfg.start, [&, i] { open_next(i); });
     }
   } else {
@@ -188,51 +117,44 @@ ResilienceResult run_resilience(const ResilienceConfig& cfg) {
   std::uint64_t acked_bytes = 0;
   const double active_for_flows_s = (cfg.run_until - cfg.start).to_seconds();
   if (cfg.churn) {
-    for (int i = 0; i < cfg.num_servers; ++i) {
-      auto& s = churn[static_cast<std::size_t>(i)];
-      // A connection still live at the deadline contributes its stats but
-      // no close of either kind.
-      if (s.live.sender != nullptr) {
-        s.acked_bytes += s.live.sender->bytes_acked();
-        s.timeouts += s.live.sender->stats().timeouts;
-        s.retransmits += s.live.sender->stats().retransmitted_packets;
-        const auto& ls = s.live.sender->lifecycle_stats();
-        const auto& lr = s.live.receiver->lifecycle_stats();
-        if (ls.ever_established) {
-          world.telemetry.registry()
-              .histogram("conn.setup_ms", 0.0, 500.0, 250)
-              ->observe(ls.setup_latency.to_millis());
-        }
-        s.syn_retx += ls.syn_retx + lr.synack_retx;
-        s.fin_retx += ls.fin_retx + lr.fin_retx;
-        s.rst_sent += ls.rst_sent + lr.rst_sent;
+    // Per-server aggregates of every connection the server opened. One
+    // still open at the deadline counts its stats, and its close only once
+    // its sender has closed; an abort forfeits its message.
+    result.flow_summaries.resize(num_servers);
+    std::vector<std::uint64_t> server_acked(num_servers);
+    for (const auto& c : churn->connections()) {
+      const auto s = c.stats();
+      auto& fs = result.flow_summaries[c.client];
+      server_acked[c.client] += s.acked_bytes;
+      fs.timeouts += s.timeouts;
+      fs.retransmits += s.retransmits;
+      if (c.sender_closed()) {
+        ++(s.sender.graceful_close ? result.graceful_closes : result.aborted_closes);
       }
-      acked_bytes += s.acked_bytes;
-      result.total_timeouts += s.timeouts;
-      result.messages_completed += s.graceful;  // an abort forfeits its message
-      result.connections_opened += s.opened;
-      result.graceful_closes += s.graceful;
-      result.aborted_closes += s.aborted;
-      result.syn_retx += s.syn_retx;
-      result.fin_retx += s.fin_retx;
-      result.rst_sent += s.rst_sent;
-
-      obs::FlowSummary fs;
+      result.syn_retx += s.sender.syn_retx + s.receiver.synack_retx;
+      result.fin_retx += s.sender.fin_retx + s.receiver.fin_retx;
+      result.rst_sent += s.sender.rst_sent + s.receiver.rst_sent;
+    }
+    for (std::size_t i = 0; i < num_servers; ++i) {
+      // Observed after the reaped ones, in server order (the histogram's
+      // sum depends on the order).
+      if (!current[i]->reaped) observe_setup(current[i]->stats());
+      auto& fs = result.flow_summaries[i];
       fs.flow = static_cast<net::FlowId>(i + 1);  // per-server conn aggregate
       fs.protocol = tcp::to_string(cfg.protocol);
       fs.goodput_mbps =
-          static_cast<double>(s.acked_bytes) * 8.0 / active_for_flows_s / 1e6;
-      fs.retransmits = s.retransmits;
-      fs.timeouts = s.timeouts;
-      result.flow_summaries.push_back(std::move(fs));
+          static_cast<double>(server_acked[i]) * 8.0 / active_for_flows_s / 1e6;
+      acked_bytes += server_acked[i];
+      result.total_timeouts += fs.timeouts;
     }
-    result.churn_backlog = backlog->stats();
+    result.connections_opened = churn->connections().size();
+    result.messages_completed = result.graceful_closes;
+    result.churn_backlog = churn->backlog().stats();
   } else {
     for (int i = 0; i < cfg.num_servers; ++i) {
       acked_bytes += flows[i].sender->bytes_acked();
       result.total_timeouts += flows[i].sender->stats().timeouts;
-      result.messages_completed +=
-          flows[i].sender->stats().completed_message_times().size();
+      result.messages_completed += flows[i].sender->stats().completed_messages();
 
       obs::FlowSummary fs;
       fs.flow = flows[i].sender->flow_id();

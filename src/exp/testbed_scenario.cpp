@@ -64,8 +64,7 @@ ArctResult run_arct(const ArctConfig& cfg) {
   // elephants would otherwise keep the simulation busy to the horizon).
   for (auto t = sim::SimTime::seconds(1.0); t <= horizon; t += sim::SimTime::seconds(1.0)) {
     world.simulator.run_until(t);
-    if (static_cast<int>(responder->stats().completed_message_times().size()) >=
-        cfg.num_responses) {
+    if (static_cast<int>(responder->stats().completed_messages()) >= cfg.num_responses) {
       break;
     }
   }
@@ -134,7 +133,7 @@ WebServiceResult run_web_service(const WebServiceConfig& cfg) {
     world.simulator.run_until(t);
     int done = 0;
     for (const auto& flow : flows) {
-      done += static_cast<int>(flow.sender->stats().completed_message_times().size());
+      done += static_cast<int>(flow.sender->stats().completed_messages());
     }
     if (done >= expected) break;
   }

@@ -1,5 +1,6 @@
 #include "net/host.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "net/link.hpp"
@@ -22,6 +23,18 @@ void Host::register_agent(FlowId flow, Agent* agent) {
     agents_.insert(agents_.begin(), flow_base_ - flow, nullptr);
     flow_base_ = flow;
   } else if (flow - flow_base_ >= agents_.size()) {
+    // Before the table reallocates, drop its leading run of empty slots if
+    // that run is at least half the table: a churning host keeps only its
+    // live span, and the slots appended since the last trim pay for this one.
+    if (flow - flow_base_ >= agents_.capacity()) {
+      const auto live = std::find_if(agents_.begin(), agents_.end(),
+                                     [](const Agent* a) { return a != nullptr; });
+      const auto lead = static_cast<std::size_t>(live - agents_.begin());
+      if (2 * lead >= agents_.size()) {
+        agents_.erase(agents_.begin(), live);
+        flow_base_ += static_cast<FlowId>(lead);
+      }
+    }
     agents_.resize(flow - flow_base_ + 1, nullptr);
   }
   Agent*& slot = agents_[flow - flow_base_];

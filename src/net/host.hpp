@@ -22,6 +22,9 @@ class Host : public Node {
 
   void register_agent(FlowId flow, Agent* agent);
   void unregister_agent(FlowId flow);
+  // Slots in the dispatch table: about the live span of flow ids, not one
+  // per flow the host ever had (see agents_).
+  std::size_t agent_slots() const { return agents_.size(); }
   // Calls f(Agent&) for every registered agent, in flow-id order (the
   // invariant checker finds the live TCP endpoints this way).
   template <typename F>
@@ -57,7 +60,8 @@ class Host : public Node {
   // Dense dispatch table: slot [flow - flow_base_] holds the agent. Flow
   // ids are handed out sequentially per experiment, so the table is a flat
   // array and the receive hot path is one bounds check plus one indexed
-  // load — no hashing per packet.
+  // load — no hashing per packet. register_agent trims the leading empty
+  // slots (advancing flow_base_) when the table would reallocate.
   std::vector<Agent*> agents_;
   Agent* default_agent_ = nullptr;
   FlowId flow_base_ = 0;

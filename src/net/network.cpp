@@ -209,10 +209,4 @@ std::uint64_t Network::total_drops() const {
   return n;
 }
 
-std::uint64_t Network::total_ce_marks() const {
-  std::uint64_t n = 0;
-  for (const auto& link : links_) n += link->queue().stats().marked_ce;
-  return n;
-}
-
 }  // namespace trim::net

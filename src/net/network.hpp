@@ -21,12 +21,6 @@ struct LinkSpec {
   std::uint64_t bits_per_sec = 0;
   sim::SimTime prop_delay;
   QueueConfig queue;
-
-  LinkSpec with_queue(QueueConfig q) const {
-    LinkSpec s = *this;
-    s.queue = q;
-    return s;
-  }
 };
 
 // Convenience rates.
@@ -86,7 +80,6 @@ class Network {
 
   // Aggregate drop count across every queue in the network (Fig. 9(c)).
   std::uint64_t total_drops() const;
-  std::uint64_t total_ce_marks() const;
 
  private:
   struct Edge {

@@ -391,6 +391,20 @@ std::uint64_t ShardedEngine::windows_skipped() const {
   return n;
 }
 
+EngineRun ShardedEngine::run_record() const {
+  EngineRun r;
+  r.shards = shard_count();
+  r.run_wall_s = static_cast<double>(elapsed_wall_ns_) * 1e-9;
+  r.windows = windows_run_;
+  r.windows_skipped = windows_skipped();
+  r.events_imbalance = events_imbalance();
+  for (const auto& st : shard_stats_) {
+    r.shard_stall_s.push_back(static_cast<double>(st.stall_wall_ns) * 1e-9);
+    r.shard_events.push_back(st.window_events);
+  }
+  return r;
+}
+
 double ShardedEngine::events_imbalance() const {
   std::uint64_t total = 0;
   std::uint64_t busiest = 0;

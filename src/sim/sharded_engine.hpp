@@ -61,6 +61,20 @@
 
 namespace trim::sim {
 
+// What an engine's runs did, one entry per shard in the vectors (zeros on
+// the serial path). windows, windows_skipped, events_imbalance and
+// shard_events are deterministic; run_wall_s and shard_stall_s are
+// wall-clock and must stay out of any deterministic report section.
+struct EngineRun {
+  int shards = 1;
+  double run_wall_s = 0.0;             // elapsed inside run()/run_until()
+  std::uint64_t windows = 0;
+  std::uint64_t windows_skipped = 0;   // idle-shard fast-path windows (fleet)
+  double events_imbalance = 0.0;       // busiest shard / mean (>= 1 when run)
+  std::vector<double> shard_stall_s;   // [shard] barrier-stall wall time
+  std::vector<std::uint64_t> shard_events;  // [shard] windowed dispatches
+};
+
 class ShardedEngine {
  public:
   // `shards` >= 1 (values above 256 are clamped to 256).
@@ -167,6 +181,9 @@ class ShardedEngine {
   // Ratio of the busiest shard's windowed event count to the mean
   // (>= 1.0; 1.0 = perfectly balanced, 0.0 before any windowed run).
   double events_imbalance() const;
+
+  // The runs so far, as scenario results and the scaling bench report them.
+  EngineRun run_record() const;
 
   // Observers, called only between windows (single-threaded, inside the
   // barrier completion step): the window observer after each plan with

@@ -17,23 +17,16 @@ void FlowStats::complete_message(std::uint64_t id, sim::SimTime now) {
   if (id >= messages_.size()) throw std::out_of_range("FlowStats::complete_message: bad id");
   if (messages_[id].completed) throw std::logic_error("FlowStats: message completed twice");
   messages_[id].completed = now;
+  ++completed_;
 }
 
 std::vector<sim::SimTime> FlowStats::completed_message_times() const {
   std::vector<sim::SimTime> out;
-  out.reserve(messages_.size());
+  out.reserve(completed_);
   for (const auto& m : messages_) {
     if (m.done()) out.push_back(m.completion_time());
   }
   return out;
-}
-
-std::size_t FlowStats::incomplete_messages() const {
-  std::size_t n = 0;
-  for (const auto& m : messages_) {
-    if (!m.done()) ++n;
-  }
-  return n;
 }
 
 }  // namespace trim::stats

@@ -41,10 +41,12 @@ class FlowStats {
   void complete_message(std::uint64_t id, sim::SimTime now);
   const std::vector<MessageRecord>& messages() const { return messages_; }
   std::vector<sim::SimTime> completed_message_times() const;
-  std::size_t incomplete_messages() const;
+  std::size_t completed_messages() const { return completed_; }
+  std::size_t incomplete_messages() const { return messages_.size() - completed_; }
 
  private:
   std::vector<MessageRecord> messages_;
+  std::size_t completed_ = 0;
 };
 
 }  // namespace trim::stats

@@ -46,8 +46,8 @@ enum class ConnState : std::uint8_t {
 const char* to_string(ConnState s);
 
 // True in the states where the endpoint has fully left the connection
-// (never opened, or torn down). The storm scenario's "every opened
-// connection eventually closes" invariant accepts exactly these.
+// (never opened, or torn down). http::ShortConnections reaps a connection
+// once both of its endpoints are in one of these.
 inline bool is_terminal(ConnState s) {
   return s == ConnState::kClosed || s == ConnState::kListen;
 }

@@ -121,12 +121,6 @@ class TcpSender : public net::Agent {
   // Record (time, cwnd) on every window change — Figs. 4(b), 6(b).
   void set_cwnd_trace(stats::TimeSeries* trace) { cwnd_trace_ = trace; }
 
-  // Resident bytes of the per-flow segment/message accounting structures
-  // (excludes FlowStats message records). Tracked by bench_flow_datapath.
-  std::size_t datapath_state_bytes() const {
-    return messages_.size() * sizeof(MessageRecord);
-  }
-
   // ---- net::Agent ----
   void on_packet(const net::Packet& p) override;
 

@@ -127,21 +127,21 @@ TEST(ShardEquivalence, ShardedLargeScaleIsReproducible) {
   const auto cfg = quick_fig08(4);
   const auto a = run_large_scale(cfg);
   const auto b = run_large_scale(cfg);
-  EXPECT_EQ(a.shards, 4);
+  EXPECT_EQ(a.engine.shards, 4);
   EXPECT_EQ(a.spt_act_ms, b.spt_act_ms);
   EXPECT_EQ(a.spt_max_ms, b.spt_max_ms);
   EXPECT_EQ(a.completed_spts, b.completed_spts);
   EXPECT_EQ(a.spt_timeouts, b.spt_timeouts);
   EXPECT_EQ(a.drops, b.drops);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.windows, b.windows);
-  EXPECT_EQ(a.windows_skipped, b.windows_skipped);
+  EXPECT_EQ(a.engine.windows, b.engine.windows);
+  EXPECT_EQ(a.engine.windows_skipped, b.engine.windows_skipped);
 }
 
 TEST(ShardEquivalence, LargeScaleCompletesAtEveryWidth) {
   for (const int shards : {1, 2, 8}) {
     const auto r = run_large_scale(quick_fig08(shards));
-    EXPECT_EQ(r.shards, shards);
+    EXPECT_EQ(r.engine.shards, shards);
     EXPECT_GT(r.total_spts, 0);
     EXPECT_GT(r.completed_spts, 0) << "width " << shards;
     EXPECT_GT(r.events_dispatched, 0u);

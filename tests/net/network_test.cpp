@@ -149,6 +149,32 @@ TEST(Network, DuplicateAgentRegistrationThrows) {
   a->register_agent(1, &y);  // fine after unregister
 }
 
+TEST(Host, DispatchTableKeepsOnlyTheLiveSpan) {
+  sim::Simulator sim;
+  Network net{&sim};
+  auto* h = net.add_host("h");
+  // 10 000 sequential flows, at most 8 live: a churning host.
+  std::vector<CountingAgent> agents(8);
+  const FlowId kFlows = 10000;
+  for (FlowId f = 0; f < kFlows; ++f) {
+    if (f >= 8) h->unregister_agent(f - 8);
+    h->register_agent(f, &agents[f % 8]);
+    ASSERT_LE(h->agent_slots(), 32u) << "flow " << f;
+  }
+  // The trims keep dispatch and flow-id order.
+  std::vector<const Agent*> live;
+  h->for_each_agent([&](const Agent& a) { live.push_back(&a); });
+  ASSERT_EQ(live.size(), 8u);
+  for (FlowId i = 0; i < 8; ++i) EXPECT_EQ(live[i], &agents[(kFlows - 8 + i) % 8]);
+  Packet p;
+  p.flow = kFlows - 1;
+  h->receive(p);
+  EXPECT_EQ(agents[(kFlows - 1) % 8].count, 1);
+  p.flow = 0;  // long gone
+  h->receive(p);
+  EXPECT_EQ(h->unroutable_packets(), 1u);
+}
+
 TEST(Network, FlowIdsAreUnique) {
   sim::Simulator sim;
   Network net{&sim};

@@ -11,8 +11,10 @@ TEST(FlowStats, MessageLifecycle) {
   FlowStats fs;
   const auto id = fs.begin_message(1000, SimTime::millis(10));
   EXPECT_EQ(id, 0u);
+  EXPECT_EQ(fs.completed_messages(), 0u);
   EXPECT_EQ(fs.incomplete_messages(), 1u);
   fs.complete_message(id, SimTime::millis(25));
+  EXPECT_EQ(fs.completed_messages(), 1u);
   EXPECT_EQ(fs.incomplete_messages(), 0u);
   const auto times = fs.completed_message_times();
   ASSERT_EQ(times.size(), 1u);
@@ -34,6 +36,7 @@ TEST(FlowStats, CompletedTimesSkipUnfinished) {
   const auto b = fs.begin_message(2, SimTime::millis(1));
   fs.complete_message(b, SimTime::millis(3));
   EXPECT_EQ(fs.completed_message_times().size(), 1u);
+  EXPECT_EQ(fs.completed_messages(), 1u);
   EXPECT_EQ(fs.incomplete_messages(), 1u);
 }
 
@@ -43,6 +46,7 @@ TEST(FlowStats, DoubleCompletionThrows) {
   fs.complete_message(id, SimTime::millis(1));
   EXPECT_THROW(fs.complete_message(id, SimTime::millis(2)), std::logic_error);
   EXPECT_THROW(fs.complete_message(99, SimTime::millis(2)), std::out_of_range);
+  EXPECT_EQ(fs.completed_messages(), 1u);  // a rejected completion is not counted
 }
 
 TEST(MessageRecord, CompletionTimeArithmetic) {
